@@ -69,6 +69,7 @@ from .tracker import (
     swap_frame,
     sweep,
     sweep_csv,
+    track,
     train,
 )
 from .evalstats import (

@@ -242,7 +242,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.model:
         save_model(result.model, args.model)
         print(f"wrote model to {args.model}", file=sys.stderr)
-    _emit(args, _accuracy_lines([("train", RunResult(result.records))], args.format))
+    _emit(args, _accuracy_lines([("train", result.run)], args.format))
     return 0
 
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, partition_by_pair, role_of
+from .corpus import Corpus, partition_by_pair
 from .cues import CueKind, CueModel, Dimension, canonical_specs
-from .tracker import TrackerConfig, TurnRecord, accuracy, run_dialogue
+from .tracker import RunResult, TrackerConfig, track
 
 
 class DegenerateStatisticError(ValueError):
@@ -27,41 +28,6 @@ class DegenerateStatisticError(ValueError):
 # Runs
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Per-turn records of one tracking run plus derived accuracies."""
-
-    records: tuple[TurnRecord, ...]
-
-    @property
-    def task_vector(self) -> tuple[int, ...]:
-        return tuple(int(r.ti_correct) for r in self.records)
-
-    @property
-    def dialogue_vector(self) -> tuple[int, ...]:
-        return tuple(int(r.di_correct) for r in self.records)
-
-    @property
-    def predictions(self) -> int:
-        return len(self.records)
-
-    @property
-    def task_correct(self) -> int:
-        return sum(self.task_vector)
-
-    @property
-    def dialogue_correct(self) -> int:
-        return sum(self.dialogue_vector)
-
-    @property
-    def task_accuracy(self) -> float:
-        return accuracy([r.ti_correct for r in self.records])
-
-    @property
-    def dialogue_accuracy(self) -> float:
-        return accuracy([r.di_correct for r in self.records])
-
-
 def evaluate(
     corpus: Corpus,
     model: CueModel,
@@ -70,39 +36,20 @@ def evaluate(
     teacher_forcing: bool = True,
 ) -> RunResult:
     """Run the tracker over a corpus with the model frozen."""
-    records: list[TurnRecord] = []
-    for dialogue in corpus.dialogues:
-        records.extend(
-            run_dialogue(dialogue, model, config, learn=False, reset_on_error=teacher_forcing)
-        )
-    return RunResult(tuple(records))
+    return track(corpus.dialogues, model, config, learn=False, reset_on_error=teacher_forcing)
 
 
 def baseline_run(corpus: Corpus) -> RunResult:
     """The no-cue predictor: the initiative stays with its current holder."""
-    records: list[TurnRecord] = []
+    ti_ok, di_ok, ti_speaker, di_speaker = bytearray(), bytearray(), bytearray(), bytearray()
     for dialogue in corpus.dialogues:
         turns = dialogue.turns
-        for t in range(len(turns) - 1):
-            turn, nxt = turns[t], turns[t + 1]
-            pred_ti_agent = turn.ti_holder
-            pred_di_agent = turn.di_holder
-            records.append(
-                TurnRecord(
-                    dialogue_id=dialogue.id,
-                    turn_index=t,
-                    predicted_ti=role_of(pred_ti_agent, turn),
-                    predicted_ti_agent=pred_ti_agent,
-                    predicted_di=role_of(pred_di_agent, turn),
-                    predicted_di_agent=pred_di_agent,
-                    actual_ti_agent=nxt.ti_holder,
-                    actual_di_agent=nxt.di_holder,
-                    cues=turn.cues,
-                    ti_correct=pred_ti_agent == nxt.ti_holder,
-                    di_correct=pred_di_agent == nxt.di_holder,
-                )
-            )
-    return RunResult(tuple(records))
+        for turn, nxt in zip(turns, islice(turns, 1, None)):
+            ti_ok.append(turn.ti_holder == nxt.ti_holder)
+            di_ok.append(turn.di_holder == nxt.di_holder)
+            ti_speaker.append(turn.ti_holder == turn.speaker)
+            di_speaker.append(turn.di_holder == turn.speaker)
+    return RunResult.from_outcomes(corpus.dialogues, ti_ok, di_ok, ti_speaker, di_speaker)
 
 
 @dataclass(frozen=True)
@@ -117,10 +64,7 @@ class CrossValidationResult:
 
     @property
     def aggregate(self) -> RunResult:
-        records: list[TurnRecord] = []
-        for fold in self.folds:
-            records.extend(fold.result.records)
-        return RunResult(tuple(records))
+        return RunResult.concat([fold.result for fold in self.folds])
 
 
 def cross_validate(
@@ -179,48 +123,67 @@ class ErrorReport:
         return self.cells[(kind, dimension)]
 
 
+def _point_offsets(run: RunResult) -> dict[str, tuple[int, int]]:
+    """Dialogue id -> (position of its first point in the run, its point count)."""
+    offsets: dict[str, tuple[int, int]] = {}
+    if run.dialogues is not None:
+        k = 0
+        for dialogue in run.dialogues:
+            offsets[dialogue.id] = (k, len(dialogue.turns) - 1)
+            k += len(dialogue.turns) - 1
+        return offsets
+    for k, record in enumerate(run.records):
+        first, n = offsets.get(record.dialogue_id, (k, 0))
+        if first + n != k or record.turn_index != n:
+            raise ValueError(f"run does not match corpus: point {(record.dialogue_id, record.turn_index)} out of order")
+        offsets[record.dialogue_id] = (first, n + 1)
+    return offsets
+
+
 def error_report(run: RunResult, corpus: Corpus) -> ErrorReport:
     """Classify each cue-bearing prediction point as shift or no-shift.
 
     A point is a Shift for a dimension when the next turn's holder differs
     from the predicting turn's holder.  A point with several cues counts
-    toward each of them.
+    toward each of them.  The run must cover the corpus's prediction points,
+    each dialogue's points together and in turn order.
     """
-    points: dict[tuple[str, int], tuple[bool, bool]] = {}
-    for dialogue in corpus.dialogues:
-        turns = dialogue.turns
-        for t in range(len(turns) - 1):
-            points[(dialogue.id, t)] = (
-                turns[t + 1].ti_holder != turns[t].ti_holder,
-                turns[t + 1].di_holder != turns[t].di_holder,
-            )
-    if len(run.records) != len(points):
+    if run.predictions != sum(len(d.turns) - 1 for d in corpus.dialogues):
         raise ValueError("run does not match corpus: differing prediction point counts")
-
+    offsets = _point_offsets(run)
     cells = {
         (spec.kind, dim): ErrorCell() for spec in canonical_specs() for dim in (Dimension.TASK, Dimension.DIALOGUE)
     }
-    for record in run.records:
-        key = (record.dialogue_id, record.turn_index)
-        if key not in points:
-            raise ValueError(f"run does not match corpus: unknown prediction point {key}")
-        ti_shift, di_shift = points[key]
-        for kind in record.cues:
-            cell = cells[(kind, Dimension.TASK)]
-            if ti_shift:
-                cell.shift_total += 1
-                cell.shift_errors += not record.ti_correct
-            else:
-                cell.noshift_total += 1
-                cell.noshift_errors += not record.ti_correct
-            cell = cells[(kind, Dimension.DIALOGUE)]
-            if di_shift:
-                cell.shift_total += 1
-                cell.shift_errors += not record.di_correct
-            else:
-                cell.noshift_total += 1
-                cell.noshift_errors += not record.di_correct
+    task_cells = {spec.kind: cells[(spec.kind, Dimension.TASK)] for spec in canonical_specs()}
+    dialogue_cells = {spec.kind: cells[(spec.kind, Dimension.DIALOGUE)] for spec in canonical_specs()}
+    ti_ok, di_ok = run.ti_ok, run.di_ok
+    for dialogue in corpus.dialogues:
+        turns = dialogue.turns
+        if len(turns) < 2:
+            continue
+        k, n = offsets.get(dialogue.id, (0, -1))
+        if n != len(turns) - 1:
+            raise ValueError(f"run does not match corpus: dialogue {dialogue.id!r} differs")
+        for turn, nxt in zip(turns, islice(turns, 1, None)):
+            if turn.cues:
+                ti_shift = nxt.ti_holder != turn.ti_holder
+                di_shift = nxt.di_holder != turn.di_holder
+                ti_wrong = not ti_ok[k]
+                di_wrong = not di_ok[k]
+                for kind in turn.cues:
+                    _tally(task_cells[kind], ti_shift, ti_wrong)
+                    _tally(dialogue_cells[kind], di_shift, di_wrong)
+            k += 1
     return ErrorReport(cells)
+
+
+def _tally(cell: ErrorCell, shift: bool, wrong: bool) -> None:
+    if shift:
+        cell.shift_total += 1
+        cell.shift_errors += wrong
+    else:
+        cell.noshift_total += 1
+        cell.noshift_errors += wrong
 
 
 def error_report_csv(report: ErrorReport) -> str:

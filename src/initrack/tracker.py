@@ -6,18 +6,36 @@ index with the mass functions of the observed cues, predicts the next
 holders, and (in training mode) adjusts cue parameters whenever a
 prediction disagrees with the annotation.  Because speakers alternate,
 moving to the next turn swaps the speaker/hearer components.
+
+All of this runs in one loop, `track`, over plain floats: for the length of
+a call the model's 23 (cue, dimension) tables are `[speaker, hearer, theta]`
+lists with int counters beside them, and they are written back to the
+`CueModel` when the call ends.  Every combination and every table
+adjustment is checked as a `MassFunction` would be, with the same errors.
+The object-level functions (`step_predict`, `adjust_bpa`,
+`credit_counters`, `run_dialogue`) are adapters over the same pieces.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, Dialogue, agent_of, role_of
-from .cues import CueEffect, CueKind, CueModel, Dimension, init_model, lookup
-from .evidence import MassFunction, Role, bayesian, combine_all, predicted_holder
+from .corpus import Corpus, Dialogue
+from .cues import CueEffect, CueKind, CueModel, Dimension, canonical_specs, init_model
+from .evidence import (
+    SUM_TOLERANCE,
+    MassFunction,
+    Role,
+    TotalConflictError,
+    bayesian,
+    check_masses,
+    predicted_holder,
+)
 
 
 class AdjustmentMethod(Enum):
@@ -95,8 +113,303 @@ class TurnRecord:
             raise ValueError("di_correct inconsistent with predicted/actual agents")
 
 
-def _task_cues(cues: Iterable[CueKind]) -> list[CueKind]:
-    return [k for k in cues if lookup(k).effect is CueEffect.BOTH]
+# ---------------------------------------------------------------------------
+# Runs
+
+
+def _ratio(count: int, total: int) -> float:
+    return count / total if total else float("nan")
+
+
+class RunResult:
+    """The outcomes of one tracking run, one byte per prediction point.
+
+    `ti_ok` and `di_ok` hold 1 where the task/dialogue prediction named the
+    next turn's holder; `ti_speaker` and `di_speaker` hold 1 where it named
+    the predicting turn's speaker.  The points are those of `dialogues`, in
+    order, and `records` is built from them on first access.  A run built
+    from records, `RunResult(records)`, keeps them and has no `dialogues`.
+    """
+
+    __slots__ = ("ti_ok", "di_ok", "ti_speaker", "di_speaker", "dialogues", "_records")
+
+    def __init__(self, records: Iterable[TurnRecord] = ()) -> None:
+        self._records: tuple[TurnRecord, ...] | None = tuple(records)
+        self.dialogues: tuple[Dialogue, ...] | None = None
+        self.ti_ok = bytes(r.ti_correct for r in self._records)
+        self.di_ok = bytes(r.di_correct for r in self._records)
+        self.ti_speaker = bytes(r.predicted_ti is Role.SPEAKER for r in self._records)
+        self.di_speaker = bytes(r.predicted_di is Role.SPEAKER for r in self._records)
+
+    @classmethod
+    def from_outcomes(
+        cls, dialogues: tuple[Dialogue, ...], ti_ok: bytes, di_ok: bytes, ti_speaker: bytes, di_speaker: bytes
+    ) -> RunResult:
+        run = cls.__new__(cls)
+        run._records = None
+        run.dialogues = dialogues
+        run.ti_ok, run.di_ok, run.ti_speaker, run.di_speaker = ti_ok, di_ok, ti_speaker, di_speaker
+        return run
+
+    @classmethod
+    def concat(cls, runs: Sequence[RunResult]) -> RunResult:
+        """One run over the points of `runs`, in order."""
+        if any(run.dialogues is None for run in runs):
+            return cls([record for run in runs for record in run.records])
+        return cls.from_outcomes(
+            tuple(d for run in runs for d in run.dialogues),  # type: ignore[union-attr]
+            b"".join(run.ti_ok for run in runs),
+            b"".join(run.di_ok for run in runs),
+            b"".join(run.ti_speaker for run in runs),
+            b"".join(run.di_speaker for run in runs),
+        )
+
+    @property
+    def records(self) -> tuple[TurnRecord, ...]:
+        if self._records is None:
+            self._records = _build_records(self)
+        return self._records
+
+    @property
+    def task_vector(self) -> tuple[int, ...]:
+        return tuple(self.ti_ok)
+
+    @property
+    def dialogue_vector(self) -> tuple[int, ...]:
+        return tuple(self.di_ok)
+
+    @property
+    def predictions(self) -> int:
+        return len(self.ti_ok)
+
+    @property
+    def task_correct(self) -> int:
+        return self.ti_ok.count(1)
+
+    @property
+    def dialogue_correct(self) -> int:
+        return self.di_ok.count(1)
+
+    @property
+    def task_accuracy(self) -> float:
+        return _ratio(self.task_correct, self.predictions)
+
+    @property
+    def dialogue_accuracy(self) -> float:
+        return _ratio(self.dialogue_correct, self.predictions)
+
+
+def _build_records(run: RunResult) -> tuple[TurnRecord, ...]:
+    assert run.dialogues is not None
+    speaker, hearer = Role.SPEAKER, Role.HEARER
+    ti_speaker, di_speaker, ti_ok, di_ok = run.ti_speaker, run.di_speaker, run.ti_ok, run.di_ok
+    records = []
+    k = 0
+    for dialogue in run.dialogues:
+        turns = dialogue.turns
+        for t in range(len(turns) - 1):
+            turn, nxt = turns[t], turns[t + 1]
+            ti, di = ti_speaker[k], di_speaker[k]
+            records.append(
+                TurnRecord(  # fields in declaration order
+                    dialogue.id,
+                    t,
+                    speaker if ti else hearer,
+                    turn.speaker if ti else turn.hearer,
+                    speaker if di else hearer,
+                    turn.speaker if di else turn.hearer,
+                    nxt.ti_holder,
+                    nxt.di_holder,
+                    turn.cues,
+                    bool(ti_ok[k]),
+                    bool(di_ok[k]),
+                )
+            )
+            k += 1
+    return tuple(records)
+
+
+# ---------------------------------------------------------------------------
+# The plain-float kernel
+
+# The model's tables in model-file order: task then dialogue per cue.
+_SLOTS: tuple[tuple[CueKind, Dimension], ...] = tuple(
+    (spec.kind, dim)
+    for spec in canonical_specs()
+    for dim in ((Dimension.TASK, Dimension.DIALOGUE) if spec.effect is CueEffect.BOTH else (Dimension.DIALOGUE,))
+)
+_SLOT = {key: i for i, key in enumerate(_SLOTS)}
+
+Tables = list[list[float]]
+# Enum members read as globals: attribute access on an Enum class is slow.
+_CONST = AdjustmentMethod.CONSTANT_INCREMENT
+_CONST_COUNTER = AdjustmentMethod.CONSTANT_INCREMENT_WITH_COUNTER
+
+
+def _cue_slots(cues: Sequence[CueKind]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The observed cues' task tables (both-effect cues only) and dialogue tables."""
+    task = tuple(_SLOT[k, Dimension.TASK] for k in cues if (k, Dimension.TASK) in _SLOT)
+    return task, tuple(_SLOT[k, Dimension.DIALOGUE] for k in cues)
+
+
+def _load_tables(model: CueModel) -> tuple[Tables, list[int]]:
+    tables, counters = [], []
+    for kind, dim in _SLOTS:
+        params = model.params[kind]
+        bpa, counter = (
+            (params.task_bpa, params.task_counter) if dim is Dimension.TASK else (params.dialogue_bpa, params.dialogue_counter)
+        )
+        assert bpa is not None and counter is not None
+        tables.append([bpa.speaker, bpa.hearer, bpa.theta])
+        counters.append(counter)
+    return tables, counters
+
+
+def _store_tables(model: CueModel, tables: Tables, counters: list[int]) -> None:
+    for (kind, dim), masses, counter in zip(_SLOTS, tables, counters):
+        params = model.params[kind]
+        bpa = MassFunction(*masses)
+        if dim is Dimension.TASK:
+            params.task_bpa, params.task_counter = bpa, counter
+        else:
+            params.dialogue_bpa, params.dialogue_counter = bpa, counter
+
+
+def _fold(s: float, h: float, t: float, tables: Tables, slots: tuple[int, ...]) -> tuple[float, float, float]:
+    """Combine the index (s, h, t) with each slot's table, left to right.
+
+    This is `evidence.combine` on floats, with the same operand order, the
+    same errors and the same check of each result.
+    """
+    for i in slots:
+        bs, bh, bt = tables[i]
+        norm = 1.0 - (s * bh + h * bs)
+        if norm <= 0.0:
+            raise TotalConflictError("cannot combine totally conflicting mass functions")
+        s, h, t = (s * bs + s * bt + t * bs) / norm, (h * bh + h * bt + t * bh) / norm, (t * bt) / norm
+        if not (abs(s + h + t - 1.0) <= SUM_TOLERANCE and s >= 0.0 and h >= 0.0 and t >= 0.0):
+            check_masses(s, h, t)
+    return s, h, t
+
+
+def _adjust(tables: Tables, counters: list[int], slots: tuple[int, ...], to_speaker: bool, config: TrackerConfig) -> None:
+    """Shift the slots' mass toward the actual holder after an error.
+
+    Mass moves only from theta to the actual holder, never from the opposing
+    singleton; the clamp keeps theta non-negative.
+    """
+    method, delta = config.method, config.delta
+    for i in slots:
+        counter = counters[i]
+        if method is _CONST:
+            step = delta
+        else:
+            counter -= 1
+            if method is _CONST_COUNTER:
+                if counter >= 0:
+                    counters[i] = counter
+                    continue
+                step, counter = delta, 0
+            else:
+                # Variable increment: the remaining credit damps the step
+                # exponentially; negative credit is clamped to 0 in the
+                # exponent, and a step below the float range is 0.
+                step = math.ldexp(delta, -(max(counter, 0) + 1))
+        s, h, t = tables[i]
+        inc = min(step, t)
+        if to_speaker:
+            s += inc
+        else:
+            h += inc
+        t -= inc
+        check_masses(s, h, t)
+        tables[i] = [s, h, t]
+        counters[i] = counter
+
+
+def _credit(counters: list[int], slots: tuple[int, ...]) -> None:
+    for i in slots:
+        counters[i] += 1
+
+
+def track(
+    dialogues: tuple[Dialogue, ...],
+    model: CueModel,
+    config: TrackerConfig,
+    *,
+    learn: bool,
+    reset_on_error: bool = True,
+) -> RunResult:
+    """Track each dialogue from default indices; a dialogue's final turn is target only.
+
+    With learn=True the model is adjusted/credited after each prediction
+    (and holds every change made before an error, if one is raised); with
+    learn=False it is left untouched (frozen evaluation).  reset_on_error
+    controls whether a misprediction re-anchors the current index on the
+    annotated holder.
+    """
+    tables, counters = _load_tables(model)
+    counting = learn and config.method is not AdjustmentMethod.CONSTANT_INCREMENT
+    slots_of: dict[tuple[CueKind, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    task0, dialogue0 = bayesian(config.default_task_x), bayesian(config.default_dialogue_x)
+    to_speaker = reset_current(Role.SPEAKER, config.reset_strength)
+    to_hearer = reset_current(Role.HEARER, config.reset_strength)
+    reset_s = (to_speaker.speaker, to_speaker.hearer, to_speaker.theta)
+    reset_h = (to_hearer.speaker, to_hearer.hearer, to_hearer.theta)
+    ti_ok, di_ok, ti_speaker, di_speaker = bytearray(), bytearray(), bytearray(), bytearray()
+    try:
+        for dialogue in dialogues:
+            ts, th, tt = task0.speaker, task0.hearer, task0.theta
+            ds, dh, dt = dialogue0.speaker, dialogue0.hearer, dialogue0.theta
+            turns = dialogue.turns
+            for turn, nxt in zip(turns, islice(turns, 1, None)):
+                cues = turn.cues
+                if cues:
+                    slots = slots_of.get(cues)
+                    if slots is None:
+                        slots = slots_of[cues] = _cue_slots(cues)
+                    task_slots, dialogue_slots = slots
+                    if task_slots:
+                        ts, th, tt = _fold(ts, th, tt, tables, task_slots)
+                    ds, dh, dt = _fold(ds, dh, dt, tables, dialogue_slots)
+                else:
+                    task_slots = dialogue_slots = ()
+                speaker = turn.speaker
+                ti_pred, di_pred = ts >= th, ds >= dh
+                ti_actual, di_actual = nxt.ti_holder == speaker, nxt.di_holder == speaker
+
+                if ti_pred == ti_actual:
+                    if counting and task_slots:
+                        _credit(counters, task_slots)
+                else:
+                    if learn and task_slots:
+                        _adjust(tables, counters, task_slots, ti_actual, config)
+                    if reset_on_error:
+                        ts, th, tt = reset_s if ti_actual else reset_h
+                if di_pred == di_actual:
+                    if counting and dialogue_slots:
+                        _credit(counters, dialogue_slots)
+                else:
+                    if learn and dialogue_slots:
+                        _adjust(tables, counters, dialogue_slots, di_actual, config)
+                    if reset_on_error:
+                        ds, dh, dt = reset_s if di_actual else reset_h
+
+                ti_ok.append(ti_pred == ti_actual)
+                di_ok.append(di_pred == di_actual)
+                ti_speaker.append(ti_pred)
+                di_speaker.append(di_pred)
+                # The next turn's speaker is this turn's hearer.
+                ts, th = th, ts
+                ds, dh = dh, ds
+    finally:
+        if learn:
+            _store_tables(model, tables, counters)
+    return RunResult.from_outcomes(dialogues, ti_ok, di_ok, ti_speaker, di_speaker)
+
+
+# ---------------------------------------------------------------------------
+# Object-level adapters
 
 
 def step_predict(state: TrackerState, cues: Sequence[CueKind], model: CueModel) -> StepPrediction:
@@ -106,35 +419,12 @@ def step_predict(state: TrackerState, cues: Sequence[CueKind], model: CueModel) 
     current turn's role frame.  Dialogue-only cues contribute nothing on the
     task side.
     """
-    task_bpas = [model.params[k].task_bpa for k in _task_cues(cues)]
-    dialogue_bpas = [model.params[k].dialogue_bpa for k in cues]
-    m_t_new = combine_all([state.m_t_cur, *task_bpas])
-    m_d_new = combine_all([state.m_d_cur, *dialogue_bpas])
+    tables, _ = _load_tables(model)
+    task_slots, dialogue_slots = _cue_slots(cues)
+    m_t, m_d = state.m_t_cur, state.m_d_cur
+    m_t_new = MassFunction(*_fold(m_t.speaker, m_t.hearer, m_t.theta, tables, task_slots))
+    m_d_new = MassFunction(*_fold(m_d.speaker, m_d.hearer, m_d.theta, tables, dialogue_slots))
     return StepPrediction(m_t_new, m_d_new, predicted_holder(m_t_new), predicted_holder(m_d_new))
-
-
-def _incremented(bpa: MassFunction, actual: Role, amount: float) -> MassFunction:
-    # Mass moves only from theta to the actual holder, never from the
-    # opposing singleton; the clamp keeps theta non-negative.
-    inc = min(amount, bpa.theta)
-    if actual is Role.SPEAKER:
-        return MassFunction(bpa.speaker + inc, bpa.hearer, bpa.theta - inc)
-    return MassFunction(bpa.speaker, bpa.hearer + inc, bpa.theta - inc)
-
-
-def _adjust_one(bpa: MassFunction, counter: int, actual: Role, config: TrackerConfig) -> tuple[MassFunction, int]:
-    method = config.method
-    if method is AdjustmentMethod.CONSTANT_INCREMENT:
-        return _incremented(bpa, actual, config.delta), counter
-    counter -= 1
-    if method is AdjustmentMethod.CONSTANT_INCREMENT_WITH_COUNTER:
-        if counter < 0:
-            return _incremented(bpa, actual, config.delta), 0
-        return bpa, counter
-    # Variable increment: the remaining credit damps the step size
-    # exponentially; negative credit is clamped to 0 in the exponent.
-    step = config.delta / 2 ** (max(counter, 0) + 1)
-    return _incremented(bpa, actual, step), counter
 
 
 def adjust_bpa(
@@ -148,16 +438,12 @@ def adjust_bpa(
 
     For the task dimension only cues with both-initiative effect are touched.
     """
-    kinds = _task_cues(cues) if dimension is Dimension.TASK else list(cues)
-    for kind in kinds:
-        params = model.params[kind]
-        if dimension is Dimension.TASK:
-            assert params.task_bpa is not None and params.task_counter is not None
-            params.task_bpa, params.task_counter = _adjust_one(params.task_bpa, params.task_counter, actual, config)
-        else:
-            params.dialogue_bpa, params.dialogue_counter = _adjust_one(
-                params.dialogue_bpa, params.dialogue_counter, actual, config
-            )
+    tables, counters = _load_tables(model)
+    slots = _cue_slots(cues)[0 if dimension is Dimension.TASK else 1]
+    try:
+        _adjust(tables, counters, slots, actual is Role.SPEAKER, config)
+    finally:
+        _store_tables(model, tables, counters)
 
 
 def credit_counters(
@@ -166,14 +452,9 @@ def credit_counters(
     """Give each observed cue one unit of credit after a correct prediction."""
     if config.method is AdjustmentMethod.CONSTANT_INCREMENT:
         return
-    kinds = _task_cues(cues) if dimension is Dimension.TASK else list(cues)
-    for kind in kinds:
-        params = model.params[kind]
-        if dimension is Dimension.TASK:
-            assert params.task_counter is not None
-            params.task_counter += 1
-        else:
-            params.dialogue_counter += 1
+    tables, counters = _load_tables(model)
+    _credit(counters, _cue_slots(cues)[0 if dimension is Dimension.TASK else 1])
+    _store_tables(model, tables, counters)
 
 
 def reset_current(actual: Role, strength: float) -> MassFunction:
@@ -194,73 +475,26 @@ def run_dialogue(
     learn: bool,
     reset_on_error: bool = True,
 ) -> list[TurnRecord]:
-    """Track one dialogue from default indices; the final turn is target only.
-
-    With learn=True the model is adjusted/credited in place after each
-    prediction; with learn=False it is left untouched (frozen evaluation).
-    reset_on_error controls whether a misprediction re-anchors the current
-    index on the annotated holder.
-    """
-    state = default_state(config)
-    records: list[TurnRecord] = []
-    turns = dialogue.turns
-    for t in range(len(turns) - 1):
-        turn, nxt = turns[t], turns[t + 1]
-        pred = step_predict(state, turn.cues, model)
-        actual_ti = role_of(nxt.ti_holder, turn)
-        actual_di = role_of(nxt.di_holder, turn)
-        ti_correct = pred.ti_role is actual_ti
-        di_correct = pred.di_role is actual_di
-
-        m_t, m_d = pred.m_t_new, pred.m_d_new
-        if ti_correct:
-            if learn:
-                credit_counters(model, turn.cues, Dimension.TASK, config)
-        else:
-            if learn:
-                adjust_bpa(model, turn.cues, Dimension.TASK, actual_ti, config)
-            if reset_on_error:
-                m_t = reset_current(actual_ti, config.reset_strength)
-        if di_correct:
-            if learn:
-                credit_counters(model, turn.cues, Dimension.DIALOGUE, config)
-        else:
-            if learn:
-                adjust_bpa(model, turn.cues, Dimension.DIALOGUE, actual_di, config)
-            if reset_on_error:
-                m_d = reset_current(actual_di, config.reset_strength)
-
-        records.append(
-            TurnRecord(
-                dialogue_id=dialogue.id,
-                turn_index=t,
-                predicted_ti=pred.ti_role,
-                predicted_ti_agent=agent_of(pred.ti_role, turn),
-                predicted_di=pred.di_role,
-                predicted_di_agent=agent_of(pred.di_role, turn),
-                actual_ti_agent=nxt.ti_holder,
-                actual_di_agent=nxt.di_holder,
-                cues=turn.cues,
-                ti_correct=ti_correct,
-                di_correct=di_correct,
-            )
-        )
-        state = TrackerState(swap_frame(m_t), swap_frame(m_d))
-    return records
-
-
-def accuracy(flags: Sequence[bool]) -> float:
-    if not flags:
-        return float("nan")
-    return sum(flags) / len(flags)
+    """Track one dialogue (see `track`) and return its records."""
+    return list(track((dialogue,), model, config, learn=learn, reset_on_error=reset_on_error).records)
 
 
 @dataclass(frozen=True)
 class TrainResult:
     model: CueModel
-    records: tuple[TurnRecord, ...]
-    task_accuracy: float
-    dialogue_accuracy: float
+    run: RunResult
+
+    @property
+    def records(self) -> tuple[TurnRecord, ...]:
+        return self.run.records
+
+    @property
+    def task_accuracy(self) -> float:
+        return self.run.task_accuracy
+
+    @property
+    def dialogue_accuracy(self) -> float:
+        return self.run.dialogue_accuracy
 
 
 def train(corpus: Corpus, config: TrackerConfig, model: CueModel | None = None) -> TrainResult:
@@ -272,15 +506,7 @@ def train(corpus: Corpus, config: TrackerConfig, model: CueModel | None = None) 
     """
     if model is None:
         model = init_model()
-    records: list[TurnRecord] = []
-    for dialogue in corpus.dialogues:
-        records.extend(run_dialogue(dialogue, model, config, learn=True))
-    return TrainResult(
-        model,
-        tuple(records),
-        accuracy([r.ti_correct for r in records]),
-        accuracy([r.di_correct for r in records]),
-    )
+    return TrainResult(model, track(corpus.dialogues, model, config, learn=True))
 
 
 def default_delta_grid() -> tuple[float, ...]:
@@ -306,7 +532,8 @@ def sweep(
     """One independent run per delta, rows in ascending delta order.
 
     With cross_validated=True each row reports leave-one-pair-out accuracy
-    instead of the training-pass accuracy.
+    instead of the training-pass accuracy.  A failing run aborts the sweep;
+    its error names the delta and the method.
     """
     if deltas is None:
         deltas = default_delta_grid()
@@ -315,15 +542,18 @@ def sweep(
     base = base_config if base_config is not None else TrackerConfig()
     rows = []
     for delta in sorted(deltas):
-        config = replace(base, delta=delta, method=method)
-        if cross_validated:
-            from .evalstats import cross_validate
+        try:
+            config = replace(base, delta=delta, method=method)
+            if cross_validated:
+                from .evalstats import cross_validate
 
-            result = cross_validate(corpus, config).aggregate
-            rows.append(SweepRow(delta, result.task_accuracy, result.dialogue_accuracy))
-        else:
-            result = train(corpus, config)
-            rows.append(SweepRow(delta, result.task_accuracy, result.dialogue_accuracy))
+                result = cross_validate(corpus, config).aggregate
+            else:
+                result = train(corpus, config).run
+        except ValueError as exc:
+            exc.args = (f"delta={delta:g} method={method}: {exc}",)
+            raise
+        rows.append(SweepRow(delta, result.task_accuracy, result.dialogue_accuracy))
     return rows
 
 

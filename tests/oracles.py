@@ -9,6 +9,8 @@ implementation under test.
 
 from __future__ import annotations
 
+import math
+
 SPK = frozenset({"speaker"})
 HEA = frozenset({"hearer"})
 THETA = frozenset({"speaker", "hearer"})
@@ -101,7 +103,9 @@ def _adjust(entry: dict, actual: str, method: str, delta: float) -> None:
         count = entry["counter"]
         if count < 0:
             count = 0
-        entry["m"] = _increment(entry["m"], actual, delta / 2 ** (count + 1))
+        # ldexp, not delta / 2 ** (count + 1): past 1023 credits the power
+        # of two no longer converts to a float, and the step is 0.
+        entry["m"] = _increment(entry["m"], actual, math.ldexp(delta, -(count + 1)))
         return
     raise AssertionError(method)
 
@@ -125,6 +129,28 @@ def figure1_train(
     ti correct, di correct).
     """
     model = _fresh_model()
+    trace = _figure1(dialogues, model, True, True, delta, method, default_x, reset_strength)
+    return model, trace
+
+
+def figure1_evaluate(
+    dialogues: list[dict],
+    model: dict[tuple[str, str], dict],
+    *,
+    reset: bool = True,
+    default_x: float = 0.5,
+    reset_strength: float = 0.75,
+):
+    """The same loop with the model frozen: nothing is adjusted or credited.
+
+    `model` is a table as figure1_train returns it.  With reset=False a
+    misprediction leaves the index as combined (closed-loop tracking).
+    Returns the trace or raises OracleConflict.
+    """
+    return _figure1(dialogues, model, False, reset, 0.0, "frozen", default_x, reset_strength)
+
+
+def _figure1(dialogues, model, learn, reset, delta, method, default_x, reset_strength):
     trace = []
     for dialogue in dialogues:
         m_t_cur = bf_mass(default_x, 1.0 - default_x, 0.0)
@@ -149,26 +175,28 @@ def figure1_train(
             di_ok = d_predicted == d_actual
 
             if not ti_ok:
-                for c in cues:
-                    if CUE_EFFECTS[c] == "both":
-                        _adjust(model[(c, "task")], t_actual, method, delta)
-                if t_actual == "speaker":
+                if learn:
+                    for c in cues:
+                        if CUE_EFFECTS[c] == "both":
+                            _adjust(model[(c, "task")], t_actual, method, delta)
+                if reset and t_actual == "speaker":
                     m_t_new = bf_mass(reset_strength, 1.0 - reset_strength, 0.0)
-                else:
+                elif reset:
                     m_t_new = bf_mass(1.0 - reset_strength, reset_strength, 0.0)
-            elif method != "const":
+            elif learn and method != "const":
                 for c in cues:
                     if CUE_EFFECTS[c] == "both":
                         model[(c, "task")]["counter"] += 1
 
             if not di_ok:
-                for c in cues:
-                    _adjust(model[(c, "dialogue")], d_actual, method, delta)
-                if d_actual == "speaker":
+                if learn:
+                    for c in cues:
+                        _adjust(model[(c, "dialogue")], d_actual, method, delta)
+                if reset and d_actual == "speaker":
                     m_d_new = bf_mass(reset_strength, 1.0 - reset_strength, 0.0)
-                else:
+                elif reset:
                     m_d_new = bf_mass(1.0 - reset_strength, reset_strength, 0.0)
-            elif method != "const":
+            elif learn and method != "const":
                 for c in cues:
                     model[(c, "dialogue")]["counter"] += 1
 
@@ -177,4 +205,4 @@ def figure1_train(
             # swap roles of speaker and hearer for the next turn
             m_t_cur = bf_mass(m_t_new[HEA], m_t_new[SPK], m_t_new[THETA])
             m_d_cur = bf_mass(m_d_new[HEA], m_d_new[SPK], m_d_new[THETA])
-    return model, trace
+    return trace

@@ -196,6 +196,18 @@ class TestReports:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 4
 
+    def test_sweep_failure_names_delta_and_method(self, tmp_path, capsys):
+        # The README quick-start corpus: const training breaks down at 0.1.
+        demo = tmp_path / "demo.dti"
+        gen = ["gen-synthetic", "--seed", "7", "--dialogues", "8", "--turns", "25", "--pairs", "4",
+               "--cue-emit", "no_new_info:prompt=0.35", "--cue-shift", "no_new_info:prompt=0.9"]
+        assert main([*gen, "--out", str(demo)]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--corpus", str(demo), "--method", "const"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: delta=0.1 method=const: masses must sum to 1, got ")
+
     def test_report_errors(self, synth_corpus, tmp_path, capsys):
         model_path = tmp_path / "m.model"
         main(["train", "--corpus", str(synth_corpus), "--model", str(model_path)])

@@ -1,10 +1,13 @@
 import math
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from initrack.corpus import GeneratorConfig, gen_synthetic
-from initrack.cues import CueKind, Dimension, init_model
+from initrack.cues import CueKind, Dimension, format_model, init_model
+from initrack.evalstats import evaluate
 from initrack.evidence import MassFunction, Role, bayesian, vacuous
 from initrack.tracker import (
     AdjustmentMethod,
@@ -23,7 +26,7 @@ from initrack.tracker import (
 )
 
 from conftest import corpus_to_plain, make_corpus, make_dialogue
-from oracles import HEA, SPK, THETA, figure1_train
+from oracles import HEA, SPK, THETA, figure1_evaluate, figure1_train
 
 CONST = AdjustmentMethod.CONSTANT_INCREMENT
 CONST_COUNTER = AdjustmentMethod.CONSTANT_INCREMENT_WITH_COUNTER
@@ -130,6 +133,31 @@ class TestAdjust:
         params = model.params[CueKind.END_SILENCE]
         assert params.dialogue_counter == -5
         assert params.dialogue_bpa.hearer == 0.4 / 2  # exponent floor at count 0
+
+    @pytest.mark.parametrize("counter", [1, 2, 11, 500, 1023])
+    def test_variable_increment_is_delta_over_power_of_two(self, counter):
+        # The step is computed with ldexp; up to exponent 1023 it equals
+        # delta / 2 ** exponent bit for bit.
+        for delta in default_delta_grid():
+            model = init_model()
+            model.params[CueKind.END_SILENCE].dialogue_counter = counter
+            config = TrackerConfig(delta=delta, method=VAR_COUNTER)
+            adjust_bpa(model, [CueKind.END_SILENCE], Dimension.DIALOGUE, Role.HEARER, config)
+            assert model.params[CueKind.END_SILENCE].dialogue_bpa.hearer == delta / 2**counter
+
+    def test_variable_increment_trains_past_1023_credits(self):
+        # end_silence earns 1099 credits on both dimensions, then one miss
+        # adjusts it with the step delta / 2 ** 1099, which is below the
+        # float range: the table stays vacuous and training completes.
+        rows = [("a", "a", ("end_silence",))] * 1100 + [("b", "b", ())]
+        corpus = make_corpus("long", make_dialogue("d1", ("a", "b"), rows))
+        config = TrackerConfig(method=VAR_COUNTER, default_task_x=0.75, default_dialogue_x=0.75)
+        result = train(corpus, config)
+        params = result.model.params[CueKind.END_SILENCE]
+        assert (params.task_counter, params.dialogue_counter) == (1098, 1098)
+        assert params.task_bpa == params.dialogue_bpa == vacuous()
+        assert result.run.task_correct == result.run.dialogue_correct == 1099
+        assert not result.records[-1].ti_correct and not result.records[-1].di_correct
 
     def test_bpas_stay_valid_under_many_adjustments(self):
         # MassFunction construction re-checks the invariants on every write,
@@ -318,7 +346,6 @@ class TestTrain:
 
 
 def assert_train_matches_oracle(corpus, method, delta, tol=1e-12):
-    from initrack.cues import CueEffect, canonical_specs
     from initrack.evidence import TotalConflictError
     from oracles import OracleConflict
 
@@ -338,14 +365,22 @@ def assert_train_matches_oracle(corpus, method, delta, tol=1e-12):
     if main_outcome == "conflict":
         return
 
-    trace = [
+    assert _trace(result.records) == oracle_trace
+    _assert_tables_match(result.model, oracle_model, tol)
+
+
+def _trace(records):
+    return [
         (r.dialogue_id, r.turn_index, r.predicted_ti.value, r.predicted_di.value, r.ti_correct, r.di_correct)
-        for r in result.records
+        for r in records
     ]
-    assert trace == oracle_trace
+
+
+def _assert_tables_match(model, oracle_model, tol=1e-12):
+    from initrack.cues import CueEffect, canonical_specs
 
     for spec in canonical_specs():
-        params = result.model.params[spec.kind]
+        params = model.params[spec.kind]
         entry = oracle_model[(spec.kind.value, "dialogue")]
         assert abs(params.dialogue_bpa.speaker - entry["m"][SPK]) <= tol
         assert abs(params.dialogue_bpa.hearer - entry["m"][HEA]) <= tol
@@ -358,6 +393,63 @@ def assert_train_matches_oracle(corpus, method, delta, tol=1e-12):
             assert abs(params.task_bpa.hearer - entry["m"][HEA]) <= tol
             assert abs(params.task_bpa.theta - entry["m"][THETA]) <= tol
             assert params.task_counter == entry["counter"]
+
+
+def _assert_records_agree(run):
+    """The lazily built records say what the outcome vectors say."""
+    records = run.records
+    assert len(records) == run.predictions
+    assert sum(r.ti_correct for r in records) == run.task_correct
+    assert sum(r.di_correct for r in records) == run.dialogue_correct
+    assert tuple(int(r.ti_correct) for r in records) == run.task_vector
+    assert tuple(int(r.di_correct) for r in records) == run.dialogue_vector
+
+
+@st.composite
+def synthetic_corpora(draw):
+    kinds = draw(st.lists(st.sampled_from(list(CueKind)), min_size=1, max_size=6, unique=True))
+    dialogues = draw(st.integers(1, 6))
+    config = GeneratorConfig(
+        dialogues=dialogues,
+        turns_per_dialogue=draw(st.integers(1, 30)),
+        pairs=draw(st.integers(1, dialogues)),
+        cue_emit={k: draw(st.floats(0.0, 1.0)) for k in kinds},
+        cue_shift={k: draw(st.floats(0.0, 1.0)) for k in kinds},
+        base_shift_task=draw(st.floats(0.0, 0.3)),
+        base_shift_dialogue=draw(st.floats(0.0, 0.3)),
+    )
+    return gen_synthetic(config, draw(st.integers(0, 2**16)))
+
+
+class TestOracleAgreement:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        synthetic_corpora(),
+        st.sampled_from(list(AdjustmentMethod)),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_train_and_evaluate_match_oracle_where_they_complete(self, corpus, method, delta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # delta >= 0.5
+            config = TrackerConfig(delta=delta, method=method)
+        plain = corpus_to_plain(corpus)
+        try:
+            result = train(corpus, config)
+        except ValueError:  # total conflict or a failed mass check
+            return
+        oracle_model, oracle_trace = figure1_train(plain, delta=delta, method=method.value)
+        assert _trace(result.records) == oracle_trace
+        _assert_tables_match(result.model, oracle_model)
+        _assert_records_agree(result.run)
+        saved = format_model(result.model)
+        for teacher_forcing in (True, False):
+            try:
+                run = evaluate(corpus, result.model, config, teacher_forcing=teacher_forcing)
+            except ValueError:
+                continue
+            assert _trace(run.records) == figure1_evaluate(plain, oracle_model, reset=teacher_forcing)
+            _assert_records_agree(run)
+        assert format_model(result.model) == saved
 
 
 class TestSweep:
