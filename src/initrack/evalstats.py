@@ -123,21 +123,44 @@ class ErrorReport:
         return self.cells[(kind, dimension)]
 
 
-def _point_offsets(run: RunResult) -> dict[str, tuple[int, int]]:
-    """Dialogue id -> (position of its first point in the run, its point count)."""
-    offsets: dict[str, tuple[int, int]] = {}
+def _outcomes_in_corpus_order(run: RunResult, corpus: Corpus) -> tuple[bytes, bytes]:
+    """The run's TI/DI outcome vectors, reordered to the corpus's prediction points.
+
+    A run over dialogues is matched to the corpus dialogue by dialogue; a
+    run built from records is matched point by point, on (dialogue id, turn
+    index), so its records may come in any order.
+    """
+    if run.predictions != sum(len(d.turns) - 1 for d in corpus.dialogues):
+        raise ValueError("run does not match corpus: differing prediction point counts")
+    ti_ok, di_ok = bytearray(), bytearray()
     if run.dialogues is not None:
+        spans: dict[str, tuple[int, int]] = {}  # dialogue id -> (first point, point count)
         k = 0
         for dialogue in run.dialogues:
-            offsets[dialogue.id] = (k, len(dialogue.turns) - 1)
+            spans[dialogue.id] = (k, len(dialogue.turns) - 1)
             k += len(dialogue.turns) - 1
-        return offsets
-    for k, record in enumerate(run.records):
-        first, n = offsets.get(record.dialogue_id, (k, 0))
-        if first + n != k or record.turn_index != n:
-            raise ValueError(f"run does not match corpus: point {(record.dialogue_id, record.turn_index)} out of order")
-        offsets[record.dialogue_id] = (first, n + 1)
-    return offsets
+        for dialogue in corpus.dialogues:
+            k, n = spans.get(dialogue.id, (0, -1))
+            if n != len(dialogue.turns) - 1:
+                raise ValueError(f"run does not match corpus: dialogue {dialogue.id!r} differs")
+            ti_ok += run.ti_ok[k : k + n]
+            di_ok += run.di_ok[k : k + n]
+        return bytes(ti_ok), bytes(di_ok)
+    counts = {d.id: len(d.turns) - 1 for d in corpus.dialogues}
+    outcomes: dict[tuple[str, int], tuple[bool, bool]] = {}
+    for record in run.records:
+        key = (record.dialogue_id, record.turn_index)
+        if not 0 <= record.turn_index < counts.get(record.dialogue_id, 0):
+            raise ValueError(f"run does not match corpus: unknown prediction point {key}")
+        outcomes[key] = (record.ti_correct, record.di_correct)
+    if len(outcomes) != run.predictions:
+        raise ValueError("run does not match corpus: repeated prediction point")
+    for dialogue in corpus.dialogues:
+        for t in range(len(dialogue.turns) - 1):
+            ti, di = outcomes[(dialogue.id, t)]
+            ti_ok.append(ti)
+            di_ok.append(di)
+    return bytes(ti_ok), bytes(di_ok)
 
 
 def error_report(run: RunResult, corpus: Corpus) -> ErrorReport:
@@ -145,25 +168,18 @@ def error_report(run: RunResult, corpus: Corpus) -> ErrorReport:
 
     A point is a Shift for a dimension when the next turn's holder differs
     from the predicting turn's holder.  A point with several cues counts
-    toward each of them.  The run must cover the corpus's prediction points,
-    each dialogue's points together and in turn order.
+    toward each of them.  The run must cover the corpus's prediction points;
+    the point's cues are read from the corpus.
     """
-    if run.predictions != sum(len(d.turns) - 1 for d in corpus.dialogues):
-        raise ValueError("run does not match corpus: differing prediction point counts")
-    offsets = _point_offsets(run)
+    ti_ok, di_ok = _outcomes_in_corpus_order(run, corpus)
     cells = {
         (spec.kind, dim): ErrorCell() for spec in canonical_specs() for dim in (Dimension.TASK, Dimension.DIALOGUE)
     }
     task_cells = {spec.kind: cells[(spec.kind, Dimension.TASK)] for spec in canonical_specs()}
     dialogue_cells = {spec.kind: cells[(spec.kind, Dimension.DIALOGUE)] for spec in canonical_specs()}
-    ti_ok, di_ok = run.ti_ok, run.di_ok
+    k = 0
     for dialogue in corpus.dialogues:
         turns = dialogue.turns
-        if len(turns) < 2:
-            continue
-        k, n = offsets.get(dialogue.id, (0, -1))
-        if n != len(turns) - 1:
-            raise ValueError(f"run does not match corpus: dialogue {dialogue.id!r} differs")
         for turn, nxt in zip(turns, islice(turns, 1, None)):
             if turn.cues:
                 ti_shift = nxt.ti_holder != turn.ti_holder

@@ -46,20 +46,16 @@ class MassFunction:
     theta: float
 
     def __post_init__(self) -> None:
-        check_masses(self.speaker, self.hearer, self.theta)
+        for name in ("speaker", "hearer", "theta"):
+            value = getattr(self, name)
+            if math.isnan(value) or value < 0.0:
+                raise ValueError(f"mass on {name} must be >= 0, got {value!r}")
+        total = self.speaker + self.hearer + self.theta
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            raise ValueError(f"masses must sum to 1, got {total!r}")
 
     def mass(self, role: Role) -> float:
         return self.speaker if role is Role.SPEAKER else self.hearer
-
-
-def check_masses(speaker: float, hearer: float, theta: float) -> None:
-    """Raise ValueError unless the three masses are non-negative and sum to 1."""
-    if abs(speaker + hearer + theta - 1.0) <= SUM_TOLERANCE and speaker >= 0.0 and hearer >= 0.0 and theta >= 0.0:
-        return
-    for name, value in (("speaker", speaker), ("hearer", hearer), ("theta", theta)):
-        if math.isnan(value) or value < 0.0:
-            raise ValueError(f"mass on {name} must be >= 0, got {value!r}")
-    raise ValueError(f"masses must sum to 1, got {speaker + hearer + theta!r}")
 
 
 def vacuous() -> MassFunction:

@@ -11,7 +11,8 @@ All of this runs in one loop, `track`, over plain floats: for the length of
 a call the model's 23 (cue, dimension) tables are `[speaker, hearer, theta]`
 lists with int counters beside them, and they are written back to the
 `CueModel` when the call ends.  Every combination and every table
-adjustment is checked as a `MassFunction` would be, with the same errors.
+adjustment is checked as a `MassFunction` would be; a step that fails the
+check is redone through `combine` or `MassFunction`, which raise its error.
 The object-level functions (`step_predict`, `adjust_bpa`,
 `credit_counters`, `run_dialogue`) are adapters over the same pieces.
 """
@@ -20,22 +21,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from enum import Enum
 from itertools import islice
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, Dialogue
 from .cues import CueEffect, CueKind, CueModel, Dimension, canonical_specs, init_model
-from .evidence import (
-    SUM_TOLERANCE,
-    MassFunction,
-    Role,
-    TotalConflictError,
-    bayesian,
-    check_masses,
-    predicted_holder,
-)
+from .evidence import SUM_TOLERANCE, MassFunction, Role, bayesian, combine, predicted_holder
 
 
 class AdjustmentMethod(Enum):
@@ -129,27 +122,67 @@ class RunResult:
     the predicting turn's speaker.  The points are those of `dialogues`, in
     order, and `records` is built from them on first access.  A run built
     from records, `RunResult(records)`, keeps them and has no `dialogues`.
+    Runs are immutable and compare equal when their records are equal.
     """
 
     __slots__ = ("ti_ok", "di_ok", "ti_speaker", "di_speaker", "dialogues", "_records")
 
     def __init__(self, records: Iterable[TurnRecord] = ()) -> None:
-        self._records: tuple[TurnRecord, ...] | None = tuple(records)
-        self.dialogues: tuple[Dialogue, ...] | None = None
-        self.ti_ok = bytes(r.ti_correct for r in self._records)
-        self.di_ok = bytes(r.di_correct for r in self._records)
-        self.ti_speaker = bytes(r.predicted_ti is Role.SPEAKER for r in self._records)
-        self.di_speaker = bytes(r.predicted_di is Role.SPEAKER for r in self._records)
+        records = tuple(records)
+        _set = object.__setattr__
+        _set(self, "_records", records)
+        _set(self, "dialogues", None)
+        _set(self, "ti_ok", bytes(r.ti_correct for r in records))
+        _set(self, "di_ok", bytes(r.di_correct for r in records))
+        _set(self, "ti_speaker", bytes(r.predicted_ti is Role.SPEAKER for r in records))
+        _set(self, "di_speaker", bytes(r.predicted_di is Role.SPEAKER for r in records))
 
     @classmethod
     def from_outcomes(
         cls, dialogues: tuple[Dialogue, ...], ti_ok: bytes, di_ok: bytes, ti_speaker: bytes, di_speaker: bytes
     ) -> RunResult:
         run = cls.__new__(cls)
-        run._records = None
-        run.dialogues = dialogues
-        run.ti_ok, run.di_ok, run.ti_speaker, run.di_speaker = ti_ok, di_ok, ti_speaker, di_speaker
+        _set = object.__setattr__
+        _set(run, "_records", None)
+        _set(run, "dialogues", dialogues)
+        for name, vector in zip(("ti_ok", "di_ok", "ti_speaker", "di_speaker"), (ti_ok, di_ok, ti_speaker, di_speaker)):
+            _set(run, name, bytes(vector))
         return run
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        if self.dialogues is None:
+            return RunResult, (self._records,)
+        return RunResult.from_outcomes, (self.dialogues, *self._vectors())
+
+    def _vectors(self) -> tuple[bytes, bytes, bytes, bytes]:
+        return self.ti_ok, self.di_ok, self.ti_speaker, self.di_speaker
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunResult):
+            return NotImplemented
+        # The vectors are a function of the records: differing vectors mean
+        # differing records, and equal dialogues with equal vectors mean
+        # equal records.
+        if self._vectors() != other._vectors():
+            return False
+        if self.dialogues is not None and self.dialogues == other.dialogues:
+            return True
+        return self.records == other.records
+
+    def __hash__(self) -> int:
+        return hash(self._vectors())
+
+    def __repr__(self) -> str:
+        return (
+            f"RunResult(predictions={self.predictions}, task_correct={self.task_correct}, "
+            f"dialogue_correct={self.dialogue_correct})"
+        )
 
     @classmethod
     def concat(cls, runs: Sequence[RunResult]) -> RunResult:
@@ -167,8 +200,8 @@ class RunResult:
     @property
     def records(self) -> tuple[TurnRecord, ...]:
         if self._records is None:
-            self._records = _build_records(self)
-        return self._records
+            object.__setattr__(self, "_records", _build_records(self))
+        return self._records  # type: ignore[return-value]
 
     @property
     def task_vector(self) -> tuple[int, ...]:
@@ -275,20 +308,28 @@ def _store_tables(model: CueModel, tables: Tables, counters: list[int]) -> None:
             params.dialogue_bpa, params.dialogue_counter = bpa, counter
 
 
+def _valid(s: float, h: float, t: float) -> bool:
+    """What `MassFunction` accepts: no mass negative or NaN, and a sum of 1."""
+    return abs(s + h + t - 1.0) <= SUM_TOLERANCE and s >= 0.0 and h >= 0.0 and t >= 0.0
+
+
 def _fold(s: float, h: float, t: float, tables: Tables, slots: tuple[int, ...]) -> tuple[float, float, float]:
     """Combine the index (s, h, t) with each slot's table, left to right.
 
-    This is `evidence.combine` on floats, with the same operand order, the
-    same errors and the same check of each result.
+    This is `evidence.combine` on floats, with the same operand order and
+    the same arithmetic.  A step that meets total conflict or gives an
+    invalid result is handed to `combine`, which raises its error.
     """
     for i in slots:
         bs, bh, bt = tables[i]
         norm = 1.0 - (s * bh + h * bs)
-        if norm <= 0.0:
-            raise TotalConflictError("cannot combine totally conflicting mass functions")
-        s, h, t = (s * bs + s * bt + t * bs) / norm, (h * bh + h * bt + t * bh) / norm, (t * bt) / norm
-        if not (abs(s + h + t - 1.0) <= SUM_TOLERANCE and s >= 0.0 and h >= 0.0 and t >= 0.0):
-            check_masses(s, h, t)
+        if norm > 0.0:
+            s1, h1, t1 = (s * bs + s * bt + t * bs) / norm, (h * bh + h * bt + t * bh) / norm, (t * bt) / norm
+            if abs(s1 + h1 + t1 - 1.0) <= SUM_TOLERANCE and s1 >= 0.0 and h1 >= 0.0 and t1 >= 0.0:  # _valid
+                s, h, t = s1, h1, t1
+                continue
+        m = combine(MassFunction(s, h, t), MassFunction(bs, bh, bt))
+        s, h, t = m.speaker, m.hearer, m.theta
     return s, h, t
 
 
@@ -322,7 +363,8 @@ def _adjust(tables: Tables, counters: list[int], slots: tuple[int, ...], to_spea
         else:
             h += inc
         t -= inc
-        check_masses(s, h, t)
+        if not _valid(s, h, t):
+            MassFunction(s, h, t)  # raises the check's error
         tables[i] = [s, h, t]
         counters[i] = counter
 

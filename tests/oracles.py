@@ -20,6 +20,20 @@ class OracleConflict(Exception):
     pass
 
 
+class OracleInvalid(Exception):
+    """A mass went negative or NaN, or the masses stopped summing to 1."""
+
+
+def _checked(m: dict[frozenset, float]) -> dict[frozenset, float]:
+    # Restated validity rule: every mass >= 0 (NaN fails) and the sum,
+    # speaker + hearer + theta, within 1e-9 of 1.
+    if not all(v >= 0.0 for v in (m[SPK], m[HEA], m[THETA])):
+        raise OracleInvalid(f"negative or NaN mass in {m}")
+    if not abs(m[SPK] + m[HEA] + m[THETA] - 1.0) <= 1e-9:
+        raise OracleInvalid(f"masses do not sum to 1 in {m}")
+    return m
+
+
 def bf_mass(speaker: float, hearer: float, theta: float) -> dict[frozenset, float]:
     return {SPK: speaker, HEA: hearer, THETA: theta}
 
@@ -41,13 +55,6 @@ def bf_combine(m1: dict[frozenset, float], m2: dict[frozenset, float]) -> dict[f
     if norm <= 0.0:
         raise OracleConflict("total conflict")
     return {k: v / norm for k, v in acc.items()}
-
-
-def bf_combine_all(masses: list[dict[frozenset, float]]) -> dict[frozenset, float]:
-    result = masses[0]
-    for m in masses[1:]:
-        result = bf_combine(result, m)
-    return result
 
 
 # Effect scope per cue token, restated: "both" moves task and dialogue
@@ -72,7 +79,7 @@ CUE_EFFECTS = {
 ALL_CUES = list(CUE_EFFECTS)
 
 
-def _fresh_model() -> dict[tuple[str, str], dict]:
+def fresh_model() -> dict[tuple[str, str], dict]:
     model = {}
     for token, effect in CUE_EFFECTS.items():
         dims = ("task", "dialogue") if effect == "both" else ("dialogue",)
@@ -90,22 +97,24 @@ def _increment(m: dict[frozenset, float], actual: str, amount: float) -> dict[fr
 
 
 def _adjust(entry: dict, actual: str, method: str, delta: float) -> None:
+    # The new masses are checked before the entry changes: an adjustment
+    # that fails leaves its entry, counter included, as it was.
     if method == "const":
-        entry["m"] = _increment(entry["m"], actual, delta)
+        entry["m"] = _checked(_increment(entry["m"], actual, delta))
         return
-    entry["counter"] -= 1
+    count = entry["counter"] - 1
     if method == "const-counter":
-        if entry["counter"] < 0:
-            entry["m"] = _increment(entry["m"], actual, delta)
-            entry["counter"] = 0
+        if count < 0:
+            entry["m"] = _checked(_increment(entry["m"], actual, delta))
+            count = 0
+        entry["counter"] = count
         return
     if method == "var-counter":
-        count = entry["counter"]
-        if count < 0:
-            count = 0
         # ldexp, not delta / 2 ** (count + 1): past 1023 credits the power
         # of two no longer converts to a float, and the step is 0.
-        entry["m"] = _increment(entry["m"], actual, math.ldexp(delta, -(count + 1)))
+        step = math.ldexp(delta, -(max(count, 0) + 1))
+        entry["m"] = _checked(_increment(entry["m"], actual, step))
+        entry["counter"] = count
         return
     raise AssertionError(method)
 
@@ -117,6 +126,7 @@ def figure1_train(
     method: str,
     default_x: float = 0.5,
     reset_strength: float = 0.75,
+    model: dict[tuple[str, str], dict] | None = None,
 ):
     """Straight-line training loop over plain-dict dialogues.
 
@@ -124,11 +134,14 @@ def figure1_train(
         {"id": "d1", "turns": [{"speaker": "a", "hearer": "b",
                                 "ti": "a", "di": "a", "cues": [...]}, ...]}
 
-    Returns (model, trace) or raises OracleConflict.  Trace rows are
-    (dialogue id, turn index, predicted ti role, predicted di role,
-    ti correct, di correct).
+    Returns (model, trace), or raises OracleConflict (total conflict) or
+    OracleInvalid (a combination or adjustment gave invalid masses).  Trace
+    rows are (dialogue id, turn index, predicted ti role, predicted di role,
+    ti correct, di correct).  Pass `model` (from fresh_model) to keep the
+    partly trained model when the loop raises.
     """
-    model = _fresh_model()
+    if model is None:
+        model = fresh_model()
     trace = _figure1(dialogues, model, True, True, delta, method, default_x, reset_strength)
     return model, trace
 
@@ -145,7 +158,7 @@ def figure1_evaluate(
 
     `model` is a table as figure1_train returns it.  With reset=False a
     misprediction leaves the index as combined (closed-loop tracking).
-    Returns the trace or raises OracleConflict.
+    Returns the trace or raises OracleConflict or OracleInvalid.
     """
     return _figure1(dialogues, model, False, reset, 0.0, "frozen", default_x, reset_strength)
 
@@ -160,10 +173,13 @@ def _figure1(dialogues, model, learn, reset, delta, method, default_x, reset_str
             turn, nxt = turns[t], turns[t + 1]
             cues = turn["cues"]
 
-            task_obs = [model[(c, "task")]["m"] for c in cues if CUE_EFFECTS[c] == "both"]
-            dlg_obs = [model[(c, "dialogue")]["m"] for c in cues]
-            m_t_new = bf_combine_all([m_t_cur] + task_obs)
-            m_d_new = bf_combine_all([m_d_cur] + dlg_obs)
+            m_t_new = m_t_cur
+            for c in cues:
+                if CUE_EFFECTS[c] == "both":
+                    m_t_new = _checked(bf_combine(m_t_new, model[(c, "task")]["m"]))
+            m_d_new = m_d_cur
+            for c in cues:
+                m_d_new = _checked(bf_combine(m_d_new, model[(c, "dialogue")]["m"]))
 
             t_predicted = "speaker" if m_t_new[SPK] >= m_t_new[HEA] else "hearer"
             d_predicted = "speaker" if m_d_new[SPK] >= m_d_new[HEA] else "hearer"

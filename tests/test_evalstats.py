@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -92,6 +95,40 @@ class TestEvaluate:
         frozen = evaluate(corpus, trained.model, config)
         assert frozen.task_accuracy >= trained.task_accuracy
         assert frozen.dialogue_accuracy >= trained.dialogue_accuracy
+
+
+class TestRunResult:
+    def test_equal_runs_compare_equal(self):
+        corpus = _mixed_corpus()
+        config = TrackerConfig()
+        model = train(corpus, config).model
+        run = evaluate(corpus, model, config)
+        assert run == evaluate(corpus, model, config)
+        assert hash(run) == hash(evaluate(corpus, model, config))
+        assert run != baseline_run(corpus)
+
+    def test_run_equals_the_run_built_from_its_records(self):
+        run = baseline_run(_mixed_corpus())
+        rebuilt = RunResult(run.records)
+        assert rebuilt == run and run == rebuilt
+        assert hash(rebuilt) == hash(run)
+        assert RunResult(run.records[:-1]) != run
+
+    def test_frozen(self):
+        run = baseline_run(_mixed_corpus())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.ti_ok = b""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del run.dialogues
+
+    def test_repr_names_the_counts(self):
+        run = _run_with([True, False, True])
+        assert repr(run) == "RunResult(predictions=3, task_correct=2, dialogue_correct=2)"
+
+    def test_copies_and_pickles(self):
+        for run in (baseline_run(_mixed_corpus()), _run_with([True, False])):
+            assert pickle.loads(pickle.dumps(run)) == run
+            assert copy.copy(run) == run
 
 
 class TestBaseline:
@@ -240,6 +277,25 @@ class TestErrorReport:
         cell = report.cell(CueKind.INVALIDITY_ACTION, Dimension.TASK)
         assert (cell.shift_errors, cell.shift_total) == (2, 3)
         assert (cell.noshift_errors, cell.noshift_total) == (0, 11)
+
+    def test_records_in_any_order(self):
+        corpus = _mixed_corpus()
+        config = TrackerConfig()
+        run = evaluate(corpus, train(corpus, config).model, config)
+        shuffled = list(run.records)
+        random.Random(5).shuffle(shuffled)
+        expected = error_report_csv(error_report(run, corpus))
+        assert error_report_csv(error_report(RunResult(shuffled), corpus)) == expected
+        # The cross-validated run holds the dialogues in fold order.
+        folds = error_report(cross_validate(corpus, config).aggregate, corpus).cells
+        for key, cell in error_report(run, corpus).cells.items():
+            assert (folds[key].shift_total, folds[key].noshift_total) == (cell.shift_total, cell.noshift_total)
+
+    def test_unknown_point_rejected(self):
+        corpus = make_corpus("x", make_dialogue("d1", ("a", "b"), [("a", "a", ()), ("a", "a", ())]))
+        record = baseline_run(corpus).records[0]
+        with pytest.raises(ValueError, match="unknown prediction point"):
+            error_report(RunResult([dataclasses.replace(record, turn_index=1)]), corpus)
 
     def test_absent_cue_all_zero(self):
         corpus = make_corpus("x", make_dialogue("d1", ("a", "b"), [("a", "a", ()), ("a", "a", ())]))

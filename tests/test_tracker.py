@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from initrack.corpus import GeneratorConfig, gen_synthetic
 from initrack.cues import CueKind, Dimension, format_model, init_model
 from initrack.evalstats import evaluate
-from initrack.evidence import MassFunction, Role, bayesian, vacuous
+from initrack.evidence import MassFunction, Role, TotalConflictError, bayesian, vacuous
 from initrack.tracker import (
     AdjustmentMethod,
     TrackerConfig,
@@ -26,7 +26,7 @@ from initrack.tracker import (
 )
 
 from conftest import corpus_to_plain, make_corpus, make_dialogue
-from oracles import HEA, SPK, THETA, figure1_evaluate, figure1_train
+from oracles import HEA, SPK, THETA, OracleConflict, OracleInvalid, figure1_evaluate, figure1_train, fresh_model
 
 CONST = AdjustmentMethod.CONSTANT_INCREMENT
 CONST_COUNTER = AdjustmentMethod.CONSTANT_INCREMENT_WITH_COUNTER
@@ -346,9 +346,6 @@ class TestTrain:
 
 
 def assert_train_matches_oracle(corpus, method, delta, tol=1e-12):
-    from initrack.evidence import TotalConflictError
-    from oracles import OracleConflict
-
     config = TrackerConfig(delta=delta, method=method)
     plain = corpus_to_plain(corpus)
     try:
@@ -421,35 +418,51 @@ def synthetic_corpora(draw):
     return gen_synthetic(config, draw(st.integers(0, 2**16)))
 
 
+def _outcome(call):
+    """Run call; name how it ended: ("ok", value), ("conflict", None) or ("invalid", None)."""
+    try:
+        return "ok", call()
+    except (TotalConflictError, OracleConflict):
+        return "conflict", None
+    except (ValueError, OracleInvalid):  # a failed mass check
+        return "invalid", None
+
+
 class TestOracleAgreement:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         synthetic_corpora(),
         st.sampled_from(list(AdjustmentMethod)),
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     )
-    def test_train_and_evaluate_match_oracle_where_they_complete(self, corpus, method, delta):
+    def test_train_and_evaluate_match_oracle(self, corpus, method, delta):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # delta >= 0.5
             config = TrackerConfig(delta=delta, method=method)
         plain = corpus_to_plain(corpus)
-        try:
-            result = train(corpus, config)
-        except ValueError:  # total conflict or a failed mass check
-            return
-        oracle_model, oracle_trace = figure1_train(plain, delta=delta, method=method.value)
-        assert _trace(result.records) == oracle_trace
-        _assert_tables_match(result.model, oracle_model)
-        _assert_records_agree(result.run)
-        saved = format_model(result.model)
+        model, oracle_model = init_model(), fresh_model()
+        outcome, result = _outcome(lambda: train(corpus, config, model))
+        oracle_outcome, oracle = _outcome(
+            lambda: figure1_train(plain, delta=delta, method=method.value, model=oracle_model)
+        )
+        assert outcome == oracle_outcome
+        # Also after a failure: equal partial models mean both broke down
+        # on the same turn.
+        _assert_tables_match(model, oracle_model)
+        if outcome == "ok":
+            assert _trace(result.records) == oracle[1]
+            _assert_records_agree(result.run)
+        saved = format_model(model)
         for teacher_forcing in (True, False):
-            try:
-                run = evaluate(corpus, result.model, config, teacher_forcing=teacher_forcing)
-            except ValueError:
-                continue
-            assert _trace(run.records) == figure1_evaluate(plain, oracle_model, reset=teacher_forcing)
-            _assert_records_agree(run)
-        assert format_model(result.model) == saved
+            outcome, run = _outcome(lambda: evaluate(corpus, model, config, teacher_forcing=teacher_forcing))
+            oracle_outcome, oracle_trace = _outcome(
+                lambda: figure1_evaluate(plain, oracle_model, reset=teacher_forcing)
+            )
+            assert outcome == oracle_outcome
+            if outcome == "ok":
+                assert _trace(run.records) == oracle_trace
+                _assert_records_agree(run)
+        assert format_model(model) == saved
 
 
 class TestSweep:
