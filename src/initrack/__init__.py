@@ -64,6 +64,7 @@ from .tracker import (
     credit_counters,
     default_delta_grid,
     default_state,
+    delta_grid,
     reset_current,
     step_predict,
     swap_frame,

@@ -38,7 +38,7 @@ from .evalstats import (
     fold_table_csv,
     kappa,
 )
-from .tracker import AdjustmentMethod, TrackerConfig, sweep, sweep_csv, train
+from .tracker import AdjustmentMethod, TrackerConfig, delta_grid, sweep, sweep_csv, train
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
@@ -277,14 +277,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     if args.sweep_step <= 0:
         raise ValueError("--sweep-step must be positive")
-    deltas = []
-    i = 0
-    while True:
-        value = args.sweep_from + i * args.sweep_step
-        if value > args.sweep_to + 1e-12:
-            break
-        deltas.append(value)
-        i += 1
+    deltas = delta_grid(args.sweep_from, args.sweep_to, args.sweep_step)
     if not deltas:
         raise ValueError("empty sweep grid")
     rows = sweep(

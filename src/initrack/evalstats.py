@@ -9,15 +9,14 @@ dialogue.  Closed-loop tracking is available behind a flag.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Hashable, Sequence
 
-import numpy as np
-
 from .corpus import Corpus, partition_by_pair
 from .cues import CueKind, CueModel, Dimension, canonical_specs
-from .tracker import RunResult, TrackerConfig, track
+from .tracker import RunResult, TrackerConfig, track, train
 
 
 class DegenerateStatisticError(ValueError):
@@ -49,7 +48,7 @@ def baseline_run(corpus: Corpus) -> RunResult:
             di_ok.append(turn.di_holder == nxt.di_holder)
             ti_speaker.append(turn.ti_holder == turn.speaker)
             di_speaker.append(turn.di_holder == turn.speaker)
-    return RunResult.from_outcomes(corpus.dialogues, ti_ok, di_ok, ti_speaker, di_speaker)
+    return RunResult(corpus.dialogues, bytes(ti_ok), bytes(di_ok), bytes(ti_speaker), bytes(di_speaker))
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,6 @@ def cross_validate(
     teacher_forcing: bool = True,
 ) -> CrossValidationResult:
     """Leave-one-pair-out: train on the other groups, test on the held-out one."""
-    from .tracker import train
-
     groups = partition_by_pair(corpus)
     if len(groups) < 2:
         raise ValueError("cross-validation needs at least two speaker/hearer pair groups")
@@ -126,40 +123,24 @@ class ErrorReport:
 def _outcomes_in_corpus_order(run: RunResult, corpus: Corpus) -> tuple[bytes, bytes]:
     """The run's TI/DI outcome vectors, reordered to the corpus's prediction points.
 
-    A run over dialogues is matched to the corpus dialogue by dialogue; a
-    run built from records is matched point by point, on (dialogue id, turn
-    index), so its records may come in any order.
+    The run is matched to the corpus dialogue by dialogue, so its dialogues
+    may come in another order (a cross-validated run holds them in fold
+    order).
     """
     if run.predictions != sum(len(d.turns) - 1 for d in corpus.dialogues):
         raise ValueError("run does not match corpus: differing prediction point counts")
+    spans: dict[str, tuple[int, int]] = {}  # dialogue id -> (first point, point count)
+    k = 0
+    for dialogue in run.dialogues:
+        spans[dialogue.id] = (k, len(dialogue.turns) - 1)
+        k += len(dialogue.turns) - 1
     ti_ok, di_ok = bytearray(), bytearray()
-    if run.dialogues is not None:
-        spans: dict[str, tuple[int, int]] = {}  # dialogue id -> (first point, point count)
-        k = 0
-        for dialogue in run.dialogues:
-            spans[dialogue.id] = (k, len(dialogue.turns) - 1)
-            k += len(dialogue.turns) - 1
-        for dialogue in corpus.dialogues:
-            k, n = spans.get(dialogue.id, (0, -1))
-            if n != len(dialogue.turns) - 1:
-                raise ValueError(f"run does not match corpus: dialogue {dialogue.id!r} differs")
-            ti_ok += run.ti_ok[k : k + n]
-            di_ok += run.di_ok[k : k + n]
-        return bytes(ti_ok), bytes(di_ok)
-    counts = {d.id: len(d.turns) - 1 for d in corpus.dialogues}
-    outcomes: dict[tuple[str, int], tuple[bool, bool]] = {}
-    for record in run.records:
-        key = (record.dialogue_id, record.turn_index)
-        if not 0 <= record.turn_index < counts.get(record.dialogue_id, 0):
-            raise ValueError(f"run does not match corpus: unknown prediction point {key}")
-        outcomes[key] = (record.ti_correct, record.di_correct)
-    if len(outcomes) != run.predictions:
-        raise ValueError("run does not match corpus: repeated prediction point")
     for dialogue in corpus.dialogues:
-        for t in range(len(dialogue.turns) - 1):
-            ti, di = outcomes[(dialogue.id, t)]
-            ti_ok.append(ti)
-            di_ok.append(di)
+        k, n = spans.get(dialogue.id, (0, -1))
+        if n != len(dialogue.turns) - 1:
+            raise ValueError(f"run does not match corpus: dialogue {dialogue.id!r} differs")
+        ti_ok += run.ti_ok[k : k + n]
+        di_ok += run.di_ok[k : k + n]
     return bytes(ti_ok), bytes(di_ok)
 
 
@@ -310,16 +291,16 @@ def kappa(ratings: Sequence[Sequence[Hashable]]) -> float:
         raise ValueError("kappa needs at least two raters")
     if any(len(row) != m for row in ratings):
         raise ValueError("every item must have the same number of ratings")
-    categories = sorted({label for row in ratings for label in row}, key=repr)
-    counts = np.zeros((len(ratings), len(categories)), dtype=np.int64)
-    index = {label: j for j, label in enumerate(categories)}
-    for i, row in enumerate(ratings):
-        for label in row:
-            counts[i, index[label]] += 1
     n_items = len(ratings)
-    p_observed = float((counts * (counts - 1)).sum()) / (n_items * m * (m - 1))
-    proportions = counts.sum(axis=0) / (n_items * m)
-    p_expected = float((proportions * proportions).sum())
+    agreeing, totals = 0, Counter()
+    for row in ratings:
+        for label, n_ij in Counter(row).items():
+            agreeing += n_ij * (n_ij - 1)
+            totals[label] += n_ij
+    p_observed = agreeing / (n_items * m * (m - 1))
+    # Summed in a fixed category order, whatever the order of the items.
+    proportions = [totals[label] / (n_items * m) for label in sorted(totals, key=repr)]
+    p_expected = sum(p * p for p in proportions)
     if p_expected >= 1.0:
         raise DegenerateStatisticError("all ratings fall in one category; kappa is undefined")
     return (p_observed - p_expected) / (1.0 - p_expected)
@@ -345,20 +326,23 @@ def cochran_q(outcomes: Sequence[Sequence[int]]) -> CochranQResult:
     returned (no detectable treatment effect).  For k = 2 the statistic
     equals the uncorrected McNemar statistic (b - c)^2 / (b + c).
     """
-    table = np.asarray(outcomes)
-    if table.ndim != 2:
+    try:
+        table = [list(row) for row in outcomes]
+    except TypeError:
+        raise ValueError("outcomes must be a 2-D matrix") from None
+    if not table:
         raise ValueError("outcomes must be a 2-D matrix")
-    n, k = table.shape
+    k = len(table[0])
+    if any(len(row) != k for row in table):
+        raise ValueError("outcomes must have the same number of treatments in every row")
     if k < 2:
         raise ValueError("Cochran's Q needs at least two treatments")
-    if n < 1:
-        raise ValueError("Cochran's Q needs at least one subject")
-    if not np.isin(table, (0, 1)).all():
+    if any(x not in (0, 1) for row in table for x in row):
         raise ValueError("outcomes must be binary (0/1)")
-    col_totals = table.sum(axis=0, dtype=np.int64)
-    row_totals = table.sum(axis=1, dtype=np.int64)
-    numerator = (k - 1) * (k * int((col_totals**2).sum()) - int(col_totals.sum()) ** 2)
-    denominator = k * int(row_totals.sum()) - int((row_totals**2).sum())
+    col_totals = [int(sum(col)) for col in zip(*table)]
+    row_totals = [int(sum(row)) for row in table]
+    numerator = (k - 1) * (k * sum(g * g for g in col_totals) - sum(col_totals) ** 2)
+    denominator = k * sum(row_totals) - sum(r * r for r in row_totals)
     df = k - 1
     if denominator == 0:
         return CochranQResult(0.0, df, 1.0)

@@ -13,7 +13,9 @@ lists with int counters beside them, and they are written back to the
 `CueModel` when the call ends.  Every combination and every table
 adjustment is checked as a `MassFunction` would be; a step that fails the
 check is redone through `combine` or `MassFunction`, which raise its error.
-The object-level functions (`step_predict`, `adjust_bpa`,
+A run's outcome is stored once, as a `RunResult`: its dialogues and four
+bits per prediction point.  The per-point `TurnRecord`s are derived from
+those on request.  The object-level functions (`step_predict`, `adjust_bpa`,
 `credit_counters`, `run_dialogue`) are adapters over the same pieces.
 """
 
@@ -21,10 +23,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import Corpus, Dialogue
 from .cues import CueEffect, CueKind, CueModel, Dimension, canonical_specs, init_model
@@ -85,7 +88,12 @@ class StepPrediction:
 
 @dataclass(frozen=True)
 class TurnRecord:
-    """One prediction point: made while processing `turn_index`, about the next turn."""
+    """One prediction point: made while processing `turn_index`, about the next turn.
+
+    A prediction is correct when it names the agent that holds the
+    initiative next, so `ti_correct` and `di_correct` are read off the
+    predicted and actual agents.
+    """
 
     dialogue_id: str
     turn_index: int
@@ -96,14 +104,14 @@ class TurnRecord:
     actual_ti_agent: str
     actual_di_agent: str
     cues: tuple[CueKind, ...]
-    ti_correct: bool
-    di_correct: bool
 
-    def __post_init__(self) -> None:
-        if self.ti_correct != (self.predicted_ti_agent == self.actual_ti_agent):
-            raise ValueError("ti_correct inconsistent with predicted/actual agents")
-        if self.di_correct != (self.predicted_di_agent == self.actual_di_agent):
-            raise ValueError("di_correct inconsistent with predicted/actual agents")
+    @property
+    def ti_correct(self) -> bool:
+        return self.predicted_ti_agent == self.actual_ti_agent
+
+    @property
+    def di_correct(self) -> bool:
+        return self.predicted_di_agent == self.actual_di_agent
 
 
 # ---------------------------------------------------------------------------
@@ -114,69 +122,23 @@ def _ratio(count: int, total: int) -> float:
     return count / total if total else float("nan")
 
 
+@dataclass(frozen=True)
 class RunResult:
     """The outcomes of one tracking run, one byte per prediction point.
 
     `ti_ok` and `di_ok` hold 1 where the task/dialogue prediction named the
     next turn's holder; `ti_speaker` and `di_speaker` hold 1 where it named
     the predicting turn's speaker.  The points are those of `dialogues`, in
-    order, and `records` is built from them on first access.  A run built
-    from records, `RunResult(records)`, keeps them and has no `dialogues`.
-    Runs are immutable and compare equal when their records are equal.
+    order, and `records` is derived from them on first access and kept.
+    Runs compare equal when their dialogues and vectors are equal, and hash
+    by the vectors alone.
     """
 
-    __slots__ = ("ti_ok", "di_ok", "ti_speaker", "di_speaker", "dialogues", "_records")
-
-    def __init__(self, records: Iterable[TurnRecord] = ()) -> None:
-        records = tuple(records)
-        _set = object.__setattr__
-        _set(self, "_records", records)
-        _set(self, "dialogues", None)
-        _set(self, "ti_ok", bytes(r.ti_correct for r in records))
-        _set(self, "di_ok", bytes(r.di_correct for r in records))
-        _set(self, "ti_speaker", bytes(r.predicted_ti is Role.SPEAKER for r in records))
-        _set(self, "di_speaker", bytes(r.predicted_di is Role.SPEAKER for r in records))
-
-    @classmethod
-    def from_outcomes(
-        cls, dialogues: tuple[Dialogue, ...], ti_ok: bytes, di_ok: bytes, ti_speaker: bytes, di_speaker: bytes
-    ) -> RunResult:
-        run = cls.__new__(cls)
-        _set = object.__setattr__
-        _set(run, "_records", None)
-        _set(run, "dialogues", dialogues)
-        for name, vector in zip(("ti_ok", "di_ok", "ti_speaker", "di_speaker"), (ti_ok, di_ok, ti_speaker, di_speaker)):
-            _set(run, name, bytes(vector))
-        return run
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        if self.dialogues is None:
-            return RunResult, (self._records,)
-        return RunResult.from_outcomes, (self.dialogues, *self._vectors())
-
-    def _vectors(self) -> tuple[bytes, bytes, bytes, bytes]:
-        return self.ti_ok, self.di_ok, self.ti_speaker, self.di_speaker
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RunResult):
-            return NotImplemented
-        # The vectors are a function of the records: differing vectors mean
-        # differing records, and equal dialogues with equal vectors mean
-        # equal records.
-        if self._vectors() != other._vectors():
-            return False
-        if self.dialogues is not None and self.dialogues == other.dialogues:
-            return True
-        return self.records == other.records
-
-    def __hash__(self) -> int:
-        return hash(self._vectors())
+    dialogues: tuple[Dialogue, ...] = field(hash=False)
+    ti_ok: bytes
+    di_ok: bytes
+    ti_speaker: bytes
+    di_speaker: bytes
 
     def __repr__(self) -> str:
         return (
@@ -184,24 +146,47 @@ class RunResult:
             f"dialogue_correct={self.dialogue_correct})"
         )
 
+    def __getstate__(self) -> dict:
+        # Copies and pickles leave out the cached records, which are derived.
+        return {name: value for name, value in self.__dict__.items() if name != "records"}
+
     @classmethod
     def concat(cls, runs: Sequence[RunResult]) -> RunResult:
         """One run over the points of `runs`, in order."""
-        if any(run.dialogues is None for run in runs):
-            return cls([record for run in runs for record in run.records])
-        return cls.from_outcomes(
-            tuple(d for run in runs for d in run.dialogues),  # type: ignore[union-attr]
+        return cls(
+            tuple(d for run in runs for d in run.dialogues),
             b"".join(run.ti_ok for run in runs),
             b"".join(run.di_ok for run in runs),
             b"".join(run.ti_speaker for run in runs),
             b"".join(run.di_speaker for run in runs),
         )
 
-    @property
+    @cached_property
     def records(self) -> tuple[TurnRecord, ...]:
-        if self._records is None:
-            object.__setattr__(self, "_records", _build_records(self))
-        return self._records  # type: ignore[return-value]
+        speaker, hearer = Role.SPEAKER, Role.HEARER
+        ti_speaker, di_speaker = self.ti_speaker, self.di_speaker
+        records = []
+        k = 0
+        for dialogue in self.dialogues:
+            turns = dialogue.turns
+            for t in range(len(turns) - 1):
+                turn, nxt = turns[t], turns[t + 1]
+                ti, di = ti_speaker[k], di_speaker[k]
+                records.append(
+                    TurnRecord(  # fields in declaration order
+                        dialogue.id,
+                        t,
+                        speaker if ti else hearer,
+                        turn.speaker if ti else turn.hearer,
+                        speaker if di else hearer,
+                        turn.speaker if di else turn.hearer,
+                        nxt.ti_holder,
+                        nxt.di_holder,
+                        turn.cues,
+                    )
+                )
+                k += 1
+        return tuple(records)
 
     @property
     def task_vector(self) -> tuple[int, ...]:
@@ -230,36 +215,6 @@ class RunResult:
     @property
     def dialogue_accuracy(self) -> float:
         return _ratio(self.dialogue_correct, self.predictions)
-
-
-def _build_records(run: RunResult) -> tuple[TurnRecord, ...]:
-    assert run.dialogues is not None
-    speaker, hearer = Role.SPEAKER, Role.HEARER
-    ti_speaker, di_speaker, ti_ok, di_ok = run.ti_speaker, run.di_speaker, run.ti_ok, run.di_ok
-    records = []
-    k = 0
-    for dialogue in run.dialogues:
-        turns = dialogue.turns
-        for t in range(len(turns) - 1):
-            turn, nxt = turns[t], turns[t + 1]
-            ti, di = ti_speaker[k], di_speaker[k]
-            records.append(
-                TurnRecord(  # fields in declaration order
-                    dialogue.id,
-                    t,
-                    speaker if ti else hearer,
-                    turn.speaker if ti else turn.hearer,
-                    speaker if di else hearer,
-                    turn.speaker if di else turn.hearer,
-                    nxt.ti_holder,
-                    nxt.di_holder,
-                    turn.cues,
-                    bool(ti_ok[k]),
-                    bool(di_ok[k]),
-                )
-            )
-            k += 1
-    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +402,7 @@ def track(
     finally:
         if learn:
             _store_tables(model, tables, counters)
-    return RunResult.from_outcomes(dialogues, ti_ok, di_ok, ti_speaker, di_speaker)
+    return RunResult(dialogues, bytes(ti_ok), bytes(di_ok), bytes(ti_speaker), bytes(di_speaker))
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +506,21 @@ def train(corpus: Corpus, config: TrackerConfig, model: CueModel | None = None) 
     return TrainResult(model, track(corpus.dialogues, model, config, learn=True))
 
 
+def delta_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
+    """start + step * i for i = 0, 1, ... while it stays within stop (+1e-12 for rounding)."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("delta grid bounds and step must be finite")
+    if step <= 0:
+        raise ValueError(f"delta grid step must be positive, got {step!r}")
+    grid = []
+    while (value := start + len(grid) * step) <= stop + 1e-12:
+        grid.append(value)
+    return tuple(grid)
+
+
 def default_delta_grid() -> tuple[float, ...]:
     """The standard 19-point sweep grid: 0.025 + 0.025 * i for i in 0..18."""
-    return tuple(0.025 + 0.025 * i for i in range(19))
+    return delta_grid(0.025, 0.475, 0.025)
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,11 @@ class TestReports:
         assert captured.out == ""
         assert captured.err.startswith("error: delta=0.1 method=const: masses must sum to 1, got ")
 
+    @pytest.mark.parametrize("flag", ["--sweep-from", "--sweep-to", "--sweep-step"])
+    def test_sweep_non_finite_grid_exit_2(self, good_corpus, flag, capsys):
+        assert main(["sweep", "--corpus", str(good_corpus), "--method", "const", flag, "nan"]) == 2
+        assert capsys.readouterr().err == "error: delta grid bounds and step must be finite\n"
+
     def test_report_errors(self, synth_corpus, tmp_path, capsys):
         model_path = tmp_path / "m.model"
         main(["train", "--corpus", str(synth_corpus), "--model", str(model_path)])
@@ -281,6 +286,12 @@ class TestStatistics:
         out = capsys.readouterr().out
         assert "Q = 1.000000" in out
         assert "df = 1" in out
+
+    def test_cochran_ragged_rows_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "outcomes.txt"
+        path.write_text("1 1\n1 0 1\n", encoding="utf-8")
+        assert main(["cochran-q", "--outcomes", str(path)]) == 2
+        assert "same number of treatments" in capsys.readouterr().err
 
 
 class TestGenSynthetic:

@@ -1,10 +1,17 @@
 import copy
 import dataclasses
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.stats
+
+import initrack
 
 from initrack.corpus import GeneratorConfig, gen_synthetic
 from initrack.cues import CueKind, Dimension, format_model, init_model
@@ -26,8 +33,7 @@ from initrack.evalstats import (
     kappa,
     paired_outcomes,
 )
-from initrack.evidence import Role
-from initrack.tracker import AdjustmentMethod, TrackerConfig, TurnRecord, train
+from initrack.tracker import AdjustmentMethod, TrackerConfig, train
 
 from conftest import make_corpus, make_dialogue
 
@@ -107,12 +113,13 @@ class TestRunResult:
         assert hash(run) == hash(evaluate(corpus, model, config))
         assert run != baseline_run(corpus)
 
-    def test_run_equals_the_run_built_from_its_records(self):
-        run = baseline_run(_mixed_corpus())
-        rebuilt = RunResult(run.records)
-        assert rebuilt == run and run == rebuilt
-        assert hash(rebuilt) == hash(run)
-        assert RunResult(run.records[:-1]) != run
+    def test_equal_vectors_over_other_dialogues_differ(self):
+        run = _run_with([True, False, True])
+        other = make_dialogue("d2", ("a", "b"), [("a", "a", ())] * 4)
+        moved = RunResult((other,), run.ti_ok, run.di_ok, run.ti_speaker, run.di_speaker)
+        assert moved != run
+        assert hash(moved) == hash(run)
+        assert dataclasses.replace(moved, dialogues=run.dialogues) == run
 
     def test_frozen(self):
         run = baseline_run(_mixed_corpus())
@@ -125,10 +132,20 @@ class TestRunResult:
         run = _run_with([True, False, True])
         assert repr(run) == "RunResult(predictions=3, task_correct=2, dialogue_correct=2)"
 
+    def test_records_follow_the_vectors(self):
+        run = _run_with([True, False, True])
+        assert [r.ti_correct for r in run.records] == [True, False, True]
+        assert [r.predicted_di_agent for r in run.records] == ["a", "b", "a"]
+        assert run.records is run.records
+
     def test_copies_and_pickles(self):
         for run in (baseline_run(_mixed_corpus()), _run_with([True, False])):
-            assert pickle.loads(pickle.dumps(run)) == run
+            data = pickle.dumps(run)
+            assert pickle.loads(data) == run
             assert copy.copy(run) == run
+            # The records are cached on first access, but not pickled.
+            assert run.records and pickle.dumps(run) == data
+            assert pickle.loads(data).records == run.records
 
 
 class TestBaseline:
@@ -239,41 +256,27 @@ class TestErrorReport:
     def test_constructed_cells(self):
         # invalidity:action observed at 14 task prediction points: 3 shifts
         # (2 mispredicted) and 11 no-shifts (0 mispredicted).
-        records = []
         rows = []
         cue = "invalidity:action"
         shift_plan = [True, True, True] + [False] * 11
         wrong_plan = [True, True, False] + [False] * 11
         ti = "a"
-        for i, (shift, wrong) in enumerate(zip(shift_plan, wrong_plan)):
+        for shift in shift_plan:
             nxt = ("b" if ti == "a" else "a") if shift else ti
             rows.append((ti, ti, (cue,)))
             ti = nxt
         rows.append((ti, ti, ()))
         corpus = make_corpus("err", make_dialogue("d1", ("a", "b"), rows))
         turns = corpus.dialogues[0].turns
-        from initrack.corpus import role_of
-
-        for t in range(len(turns) - 1):
-            actual_ti = turns[t + 1].ti_holder
-            wrong = wrong_plan[t]
-            predicted_agent = ({"a", "b"} - {actual_ti}).pop() if wrong else actual_ti
-            records.append(
-                TurnRecord(
-                    dialogue_id="d1",
-                    turn_index=t,
-                    predicted_ti=role_of(predicted_agent, turns[t]),
-                    predicted_ti_agent=predicted_agent,
-                    predicted_di=role_of(turns[t + 1].di_holder, turns[t]),
-                    predicted_di_agent=turns[t + 1].di_holder,
-                    actual_ti_agent=actual_ti,
-                    actual_di_agent=turns[t + 1].di_holder,
-                    cues=turns[t].cues,
-                    ti_correct=not wrong,
-                    di_correct=True,
-                )
-            )
-        report = error_report(RunResult(tuple(records)), corpus)
+        ti_speaker, di_speaker = bytearray(), bytearray()
+        for t, wrong in enumerate(wrong_plan):
+            # A wrong TI prediction names the agent that does not hold it next.
+            ti_speaker.append((turns[t + 1].ti_holder == turns[t].speaker) != wrong)
+            di_speaker.append(turns[t + 1].di_holder == turns[t].speaker)
+        ti_ok = bytes(not wrong for wrong in wrong_plan)
+        run = RunResult(corpus.dialogues, ti_ok, bytes([1]) * len(wrong_plan), bytes(ti_speaker), bytes(di_speaker))
+        assert [r.ti_correct for r in run.records] == [not wrong for wrong in wrong_plan]
+        report = error_report(run, corpus)
         cell = report.cell(CueKind.INVALIDITY_ACTION, Dimension.TASK)
         assert (cell.shift_errors, cell.shift_total) == (2, 3)
         assert (cell.noshift_errors, cell.noshift_total) == (0, 11)
@@ -282,20 +285,10 @@ class TestErrorReport:
         corpus = _mixed_corpus()
         config = TrackerConfig()
         run = evaluate(corpus, train(corpus, config).model, config)
-        shuffled = list(run.records)
-        random.Random(5).shuffle(shuffled)
-        expected = error_report_csv(error_report(run, corpus))
-        assert error_report_csv(error_report(RunResult(shuffled), corpus)) == expected
         # The cross-validated run holds the dialogues in fold order.
         folds = error_report(cross_validate(corpus, config).aggregate, corpus).cells
         for key, cell in error_report(run, corpus).cells.items():
             assert (folds[key].shift_total, folds[key].noshift_total) == (cell.shift_total, cell.noshift_total)
-
-    def test_unknown_point_rejected(self):
-        corpus = make_corpus("x", make_dialogue("d1", ("a", "b"), [("a", "a", ()), ("a", "a", ())]))
-        record = baseline_run(corpus).records[0]
-        with pytest.raises(ValueError, match="unknown prediction point"):
-            error_report(RunResult([dataclasses.replace(record, turn_index=1)]), corpus)
 
     def test_absent_cue_all_zero(self):
         corpus = make_corpus("x", make_dialogue("d1", ("a", "b"), [("a", "a", ()), ("a", "a", ())]))
@@ -335,26 +328,15 @@ class TestErrorReport:
 
 
 def _run_with(correct: list[bool]) -> RunResult:
-    """A RunResult with the given joint correctness for both dimensions."""
-    records = []
-    for i, ok in enumerate(correct):
-        predicted = "a" if ok else "b"
-        records.append(
-            TurnRecord(
-                dialogue_id="d1",
-                turn_index=i,
-                predicted_ti=Role.SPEAKER,
-                predicted_ti_agent=predicted,
-                predicted_di=Role.SPEAKER,
-                predicted_di_agent=predicted,
-                actual_ti_agent="a",
-                actual_di_agent="a",
-                cues=(),
-                ti_correct=ok,
-                di_correct=ok,
-            )
-        )
-    return RunResult(tuple(records))
+    """A RunResult with the given joint correctness for both dimensions.
+
+    Its one dialogue leaves both initiatives with "a", who speaks the even
+    turns; a correct point names "a" and a wrong one "b".
+    """
+    dialogue = make_dialogue("d1", ("a", "b"), [("a", "a", ())] * (len(correct) + 1))
+    ok = bytes(correct)
+    speaker = bytes(c == (t % 2 == 0) for t, c in enumerate(correct))
+    return RunResult((dialogue,), ok, ok, speaker, speaker)
 
 
 def _run_with_counts(correct: int, total: int) -> RunResult:
@@ -445,6 +427,20 @@ class TestKappa:
             value = kappa(matrix)
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
+    def test_agrees_with_numpy_restatement(self):
+        rng = random.Random(40)
+        for _ in range(200):
+            n, m = rng.randint(1, 12), rng.randint(2, 6)
+            cats = list("abcdefghij"[: rng.randint(2, 10)])
+            matrix = [[rng.choice(cats) for _ in range(m)] for _ in range(n)]
+            if len({x for row in matrix for x in row}) < 2:
+                continue
+            counts = np.array([[row.count(c) for c in cats] for row in matrix])
+            p_observed = (counts * (counts - 1)).sum() / (n * m * (m - 1))
+            p_expected = ((counts.sum(axis=0) / (n * m)) ** 2).sum()
+            expected = (p_observed - p_expected) / (1.0 - p_expected)
+            assert abs(kappa(matrix) - expected) <= 1e-12
+
 
 class TestCochranQ:
     def test_identical_columns(self):
@@ -495,6 +491,25 @@ class TestCochranQ:
             cochran_q([[1], [0]])
         with pytest.raises(ValueError):
             cochran_q([[1, 2], [0, 1]])
+        with pytest.raises(ValueError):
+            cochran_q([])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="same number of treatments"):
+            cochran_q([[1, 0], [0, 1, 1]])
+
+    def test_agrees_with_numpy_restatement(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            n, k = rng.randint(1, 30), rng.randint(2, 6)
+            matrix = [[rng.randint(0, 1) for _ in range(k)] for _ in range(n)]
+            table = np.array(matrix)
+            g, r = table.sum(axis=0), table.sum(axis=1)
+            denominator = k * r.sum() - (r**2).sum()
+            expected = 0.0 if denominator == 0 else (k - 1) * (k * (g**2).sum() - g.sum() ** 2) / denominator
+            result = cochran_q(matrix)
+            assert abs(result.statistic - expected) <= 1e-12
+            assert result.df == k - 1
 
     def test_paired_outcomes_helper(self):
         base = _run_with([True, False, True])
@@ -521,3 +536,11 @@ class TestChiSquareTail:
             chi_square_sf(-1.0, 1)
         with pytest.raises(ValueError):
             chi_square_sf(1.0, 0)
+
+
+def test_import_loads_no_numpy():
+    src = str(Path(initrack.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import initrack, sys; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

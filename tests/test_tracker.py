@@ -17,6 +17,7 @@ from initrack.tracker import (
     credit_counters,
     default_delta_grid,
     default_state,
+    delta_grid,
     reset_current,
     step_predict,
     swap_frame,
@@ -499,3 +500,13 @@ class TestSweep:
         assert len(grid) == 19
         assert grid[0] == 0.025
         assert grid[-1] == pytest.approx(0.475, abs=1e-12)
+        assert delta_grid(0.025, 0.475, 0.025) == grid
+
+    def test_delta_grid_bounds(self):
+        assert delta_grid(0.1, 0.3, 0.1) == (0.1, 0.2, 0.30000000000000004)
+        assert delta_grid(0.3, 0.1, 0.1) == ()
+        with pytest.raises(ValueError, match="positive"):
+            delta_grid(0.1, 0.3, 0.0)
+        for bounds in ((0.1, 0.3, math.nan), (0.1, math.inf, 0.1), (math.nan, 0.3, 0.1)):
+            with pytest.raises(ValueError, match="finite"):
+                delta_grid(*bounds)
