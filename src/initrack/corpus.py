@@ -67,6 +67,15 @@ class Dialogue:
             if i and turn.speaker == self.turns[i - 1].speaker:
                 raise ValueError(f"dialogue {self.id}: speakers must alternate (turn {i + 1})")
 
+    @classmethod
+    def _prechecked(cls, id: str, agents: tuple[str, str], turns: tuple[Turn, ...]) -> Dialogue:
+        """A dialogue whose agents, turns and alternation the caller has already checked."""
+        dialogue = object.__new__(cls)
+        object.__setattr__(dialogue, "id", id)
+        object.__setattr__(dialogue, "agents", agents)
+        object.__setattr__(dialogue, "turns", turns)
+        return dialogue
+
 
 @dataclass(frozen=True)
 class Corpus:
@@ -105,11 +114,18 @@ def agent_of(role: Role, turn: Turn) -> str:
 #   turn speaker=<agent> ti=<agent> di=<agent> cues=<kind>[,<kind>...]|-
 #   end
 #
-# UTF-8, LF line endings, '#' comments.
+# UTF-8, '#' comments.  Lines end at LF only; a stray CR is stripped with
+# the other surrounding whitespace.  Names, ids and agents are non-empty
+# tokens without whitespace; agents also hold no ','.
 
 
 def parse_corpus(text: str, source: str = "<corpus>") -> Corpus:
-    """Parse a corpus file; all-or-nothing, errors carry file:line positions."""
+    """Parse a corpus file; all-or-nothing, errors carry file:line positions.
+
+    Each distinct turn line is parsed once per agent pair.  A repeat reuses
+    that frozen `Turn`, so equal turns of a parsed corpus may be one object;
+    only its alternation with the previous turn is checked again.
+    """
 
     def err(lineno: int, message: str) -> CorpusFormatError:
         return CorpusFormatError(message, source, lineno)
@@ -121,9 +137,17 @@ def parse_corpus(text: str, source: str = "<corpus>") -> Corpus:
     current_agents: tuple[str, str] | None = None
     current_turns: list[Turn] = []
     current_line = 0
+    turns_by_pair: dict[tuple[str, str], dict[str, Turn]] = {}
+    known: dict[str, Turn] = {}  # turn lines parsed under the open dialogue's agents
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
+        turn = known.get(line)
+        if turn is not None:
+            if current_turns and current_turns[-1].speaker == turn.speaker:
+                raise err(lineno, f"speaker {turn.speaker!r} repeats; turns must alternate")
+            current_turns.append(turn)
+            continue
         if not line or line.startswith("#"):
             continue
         fields = line.split()
@@ -150,6 +174,7 @@ def parse_corpus(text: str, source: str = "<corpus>") -> Corpus:
             current_agents = (agents[0], agents[1])
             current_turns = []
             current_line = lineno
+            known = turns_by_pair.setdefault(current_agents, {})
             continue
 
         if directive == "turn":
@@ -182,7 +207,9 @@ def parse_corpus(text: str, source: str = "<corpus>") -> Corpus:
                     if kind in cues:
                         raise err(lineno, f"duplicate cue {token!r}")
                     cues.append(kind)
-            current_turns.append(Turn(speaker, hearer, values["ti"], values["di"], tuple(cues)))
+            turn = Turn(speaker, hearer, values["ti"], values["di"], tuple(cues))
+            known[line] = turn
+            current_turns.append(turn)
             continue
 
         if directive == "end":
@@ -190,11 +217,12 @@ def parse_corpus(text: str, source: str = "<corpus>") -> Corpus:
                 raise err(lineno, "'end' outside a dialogue")
             if not current_turns:
                 raise err(lineno, f"dialogue {current_id!r} has no turns")
-            dialogues.append(Dialogue(current_id, current_agents, tuple(current_turns)))
+            dialogues.append(Dialogue._prechecked(current_id, current_agents, tuple(current_turns)))
             seen_ids.add(current_id)
             current_id = None
             current_agents = None
             current_turns = []
+            known = {}
             continue
 
         raise err(lineno, f"unknown directive {directive!r}")
@@ -211,9 +239,21 @@ def load_corpus(path: str | Path) -> Corpus:
         return parse_corpus(fh.read(), str(path))
 
 
+def _check_token(what: str, token: str, forbidden: str = "") -> None:
+    """Raise ValueError unless `token` reads back as one field of a corpus line."""
+    if not token or any(c.isspace() or c in forbidden for c in token):
+        extra = "".join(f" or {c!r}" for c in forbidden)
+        raise ValueError(f"{what} {token!r} must be a non-empty token without whitespace{extra}")
+
+
 def format_corpus(corpus: Corpus) -> str:
+    """The corpus as file text; ValueError names a name, id or agent that would not read back."""
+    _check_token("corpus name", corpus.name)
     lines = [f"corpus {corpus.name}"]
     for dialogue in corpus.dialogues:
+        _check_token("dialogue id", dialogue.id)
+        for agent in dialogue.agents:
+            _check_token("agent", agent, ",")
         lines.append(f"dialogue {dialogue.id} agents={dialogue.agents[0]},{dialogue.agents[1]}")
         for turn in dialogue.turns:
             cues = ",".join(k.value for k in turn.cues) if turn.cues else "-"
@@ -356,6 +396,10 @@ class GeneratorConfig:
     base_shift_dialogue: float = 0.0
 
     def __post_init__(self) -> None:
+        try:
+            _check_token("name", self.name)
+        except ValueError as exc:
+            raise GeneratorConfigError(str(exc)) from None
         if self.dialogues < 1 or self.turns_per_dialogue < 1:
             raise GeneratorConfigError("need at least one dialogue and one turn per dialogue")
         if not 1 <= self.pairs <= self.dialogues:

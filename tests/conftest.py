@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
-from initrack.corpus import Corpus, Dialogue, Turn
-from initrack.cues import parse_cue
+from initrack.corpus import Corpus, Dialogue, GeneratorConfig, Turn, gen_synthetic
+from initrack.cues import CueKind, parse_cue
 
 
 def make_turn(speaker: str, hearer: str, ti: str, di: str, cues: tuple[str, ...] = ()) -> Turn:
@@ -53,3 +54,20 @@ def corpus_to_plain(corpus: Corpus) -> list[dict]:
             }
         )
     return out
+
+
+@st.composite
+def synthetic_corpora(draw):
+    """gen_synthetic corpora; dialogues, turns, pairs, cue and shift rates and the seed vary."""
+    kinds = draw(st.lists(st.sampled_from(list(CueKind)), min_size=1, max_size=6, unique=True))
+    dialogues = draw(st.integers(1, 6))
+    config = GeneratorConfig(
+        dialogues=dialogues,
+        turns_per_dialogue=draw(st.integers(1, 30)),
+        pairs=draw(st.integers(1, dialogues)),
+        cue_emit={k: draw(st.floats(0.0, 1.0)) for k in kinds},
+        cue_shift={k: draw(st.floats(0.0, 1.0)) for k in kinds},
+        base_shift_task=draw(st.floats(0.0, 0.3)),
+        base_shift_dialogue=draw(st.floats(0.0, 0.3)),
+    )
+    return gen_synthetic(config, draw(st.integers(0, 2**16)))

@@ -326,3 +326,10 @@ class TestGenSynthetic:
 
     def test_bad_probability(self, capsys):
         assert main(["gen-synthetic", "--cue-emit", "end_silence=1.5"]) == 2
+
+    @pytest.mark.parametrize("name", ["my corpus", ""])
+    def test_name_that_cannot_read_back(self, tmp_path, capsys, name):
+        out_path = tmp_path / "x.dti"
+        assert main(["gen-synthetic", "--name", name, "--out", str(out_path)]) == 2
+        assert repr(name) in capsys.readouterr().err
+        assert not out_path.exists()

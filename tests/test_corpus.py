@@ -1,4 +1,8 @@
+import dataclasses
+import re
+
 import pytest
+from hypothesis import given, settings
 
 from initrack.corpus import (
     Corpus,
@@ -20,7 +24,7 @@ from initrack.cues import CueKind
 from initrack.datasets import load_replica
 from initrack.evidence import Role
 
-from conftest import make_corpus, make_dialogue
+from conftest import make_corpus, make_dialogue, synthetic_corpora
 
 SAMPLE = """\
 corpus demo
@@ -93,6 +97,91 @@ class TestParsing:
         bad = SAMPLE.replace("cues=question:domain", "cues=question:domain,question:domain")
         with pytest.raises(CorpusFormatError, match="duplicate cue"):
             parse_corpus(bad)
+
+    def test_crlf_line_ends(self):
+        assert parse_corpus(SAMPLE.replace("\n", "\r\n")) == parse_corpus(SAMPLE)
+
+    # Characters str.splitlines() would also end a line at.
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_lines_end_at_lf_only(self, sep):
+        text = f"corpus c\n# note{sep}more\ndialogue d1 agents=a,b\nturn speaker=a ti=a di=a cues=-\nend\n"
+        assert parse_corpus(text) == make_corpus("c", make_dialogue("d1", ("a", "b"), [("a", "a", ())]))
+        bad = f"corpus x\n{sep}\ndialogue d1 agents=a,b\nturn speaker=c ti=a di=a cues=-\n"
+        with pytest.raises(CorpusFormatError) as exc:
+            parse_corpus(bad)
+        assert exc.value.line == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(synthetic_corpora())
+    def test_round_trip_shares_turns(self, corpus):
+        text = format_corpus(corpus)
+        parsed = parse_corpus(text)
+        assert parsed == corpus
+        lines = set()
+        for line in text.split("\n"):
+            if line.startswith("dialogue "):
+                agents = line.split()[2]
+            elif line.startswith("turn "):
+                lines.add((agents, line))
+        assert len({id(turn) for d in parsed.dialogues for turn in d.turns}) == len(lines)
+
+
+HEAD = "corpus x\ndialogue d1 agents=a,b\n"
+TURN_A = "turn speaker=a ti=a di=a cues=-\n"
+TURN_B = "turn speaker=b ti=a di=a cues=-\n"
+LONG = HEAD + (TURN_A + TURN_B) * 100  # 202 lines; every later turn line is a repeat
+
+# (text, line, message): every CorpusFormatError parse_corpus raises.  The
+# last group puts the error on a line whose text already parsed earlier.
+FORMAT_ERRORS = [
+    ("", 0, "empty corpus file"),
+    ("# comment\n\n", 0, "empty corpus file"),
+    ("dialogue d1 agents=a,b\n", 1, "expected 'corpus <name>'"),
+    ("\ncorpus\n", 2, "expected 'corpus <name>'"),
+    ("corpus x y\n", 1, "expected 'corpus <name>'"),
+    (HEAD + TURN_A + "dialogue d2 agents=a,b\n", 4, "dialogue 'd1' not closed with 'end'"),
+    (HEAD + TURN_A, 2, "dialogue 'd1' not closed with 'end'"),
+    ("corpus x\ndialogue d1\n", 2, "expected 'dialogue <id> agents=<a>,<b>'"),
+    ("corpus x\ndialogue d1 with=a,b\n", 2, "expected 'dialogue <id> agents=<a>,<b>'"),
+    (HEAD + TURN_A + "end\ndialogue d1 agents=a,b\n", 5, "duplicate dialogue id 'd1'"),
+    ("corpus x\ndialogue d1 agents=a\n", 2, "agents must be two distinct non-empty names"),
+    ("corpus x\ndialogue d1 agents=a,a\n", 2, "agents must be two distinct non-empty names"),
+    ("corpus x\ndialogue d1 agents=a,\n", 2, "agents must be two distinct non-empty names"),
+    ("corpus x\n" + TURN_A, 2, "turn outside a dialogue"),
+    (HEAD + "turn speaker=a ti=a di=a cues=- x\n", 3, "malformed field 'x'"),
+    (HEAD + "turn speaker=a ti=a di=a cues=- mood=ok\n", 3, "malformed field 'mood=ok'"),
+    (HEAD + "turn speaker=a speaker=a ti=a di=a cues=-\n", 3, "malformed field 'speaker=a'"),
+    (HEAD + "turn speaker=a ti=a di=a\n", 3, "missing field 'cues'"),
+    (HEAD + "turn speaker=c ti=a di=a cues=-\n", 3, "unknown agent 'c' in field 'speaker'"),
+    (HEAD + "turn speaker=a ti=a di=c cues=-\n", 3, "unknown agent 'c' in field 'di'"),
+    (HEAD + TURN_A + TURN_A, 4, "speaker 'a' repeats; turns must alternate"),
+    (HEAD + "turn speaker=a ti=a di=a cues=promptz\n", 3, "unknown cue 'promptz'"),
+    (HEAD + "turn speaker=a ti=a di=a cues=end_silence,end_silence\n", 3, "duplicate cue 'end_silence'"),
+    ("corpus x\nend\n", 2, "'end' outside a dialogue"),
+    ("corpus x\ndialogue d1 agents=a,b\nend\n", 3, "dialogue 'd1' has no turns"),
+    ("corpus x\nspeaker=a\n", 2, "unknown directive 'speaker=a'"),
+    # Errors on lines whose text already parsed.
+    (LONG + TURN_B, 203, "speaker 'b' repeats; turns must alternate"),
+    (LONG + "end\n" + TURN_A, 204, "turn outside a dialogue"),
+    (
+        HEAD + "turn speaker=a ti=b di=a cues=-\nend\ndialogue d2 agents=a,c\nturn speaker=a ti=b di=a cues=-\n",
+        6,
+        "unknown agent 'b' in field 'ti'",
+    ),
+    (LONG + "turn speaker=a ti=a di=a\n", 203, "missing field 'cues'"),
+    (LONG + "turn speaker=a ti=a di=a cues=-,\n", 203, "unknown cue '-'"),
+    (LONG + "end\n" + HEAD.split("\n", 1)[1], 204, "duplicate dialogue id 'd1'"),
+]
+
+
+class TestFormatErrors:
+    @pytest.mark.parametrize(
+        ("text", "line", "message"), FORMAT_ERRORS, ids=[f"{line}:{message}" for _, line, message in FORMAT_ERRORS]
+    )
+    def test_message_and_line(self, text, line, message):
+        with pytest.raises(CorpusFormatError) as exc:
+            parse_corpus(text, "t.dti")
+        assert (str(exc.value), exc.value.line, exc.value.source) == (f"t.dti:{line}: {message}", line, "t.dti")
 
 
 class TestRoles:
@@ -195,6 +284,33 @@ class TestInvariants:
             Dialogue("d", ("a", "b"), (t1, t1))
         with pytest.raises(ValueError, match="no turns"):
             Dialogue("d", ("a", "b"), ())
+        with pytest.raises(ValueError, match="foreign agent"):
+            Dialogue("d", ("a", "c"), (t1,))
+        parsed = parse_corpus(SAMPLE).dialogues[0]
+        with pytest.raises(ValueError, match="alternate"):
+            dataclasses.replace(parsed, turns=parsed.turns[:1] * 2)
+
+    @pytest.mark.parametrize(
+        ("name", "did", "agents", "bad"),
+        [
+            ("my corpus", "d1", ("a", "b"), "my corpus"),
+            ("", "d1", ("a", "b"), ""),
+            ("c", "d 1", ("a", "b"), "d 1"),
+            ("c", "", ("a", "b"), ""),
+            ("c", "d1", ("a", "b\tc"), "b\tc"),
+            ("c", "d1", ("a,x", "b"), "a,x"),
+            ("c", "d1", ("a", "b\u2028x"), "b\u2028x"),
+        ],
+    )
+    def test_format_rejects_tokens_that_cannot_read_back(self, name, did, agents, bad):
+        corpus = make_corpus(name, make_dialogue(did, agents, [(agents[0], agents[0], ())]))
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            format_corpus(corpus)
+
+    def test_agents_may_hold_equals(self):
+        # A field splits at its first '=', so "speaker=a=b" names agent "a=b".
+        corpus = make_corpus("c", make_dialogue("d1", ("a=b", "="), [("=", "a=b", ())] * 3))
+        assert parse_corpus(format_corpus(corpus)) == corpus
 
     def test_corpus_duplicate_ids(self):
         d = make_dialogue("d1", ("a", "b"), [("a", "a", ())])
@@ -264,3 +380,6 @@ class TestGenerator:
             GeneratorConfig(pairs=9, dialogues=4)
         with pytest.raises(GeneratorConfigError):
             GeneratorConfig(base_shift_task=-0.2)
+        for name in ("my corpus", "", "x\ny"):
+            with pytest.raises(GeneratorConfigError, match=re.escape(repr(name))):
+                GeneratorConfig(name=name)

@@ -26,7 +26,7 @@ from initrack.tracker import (
     train,
 )
 
-from conftest import corpus_to_plain, make_corpus, make_dialogue
+from conftest import corpus_to_plain, make_corpus, make_dialogue, synthetic_corpora
 from oracles import HEA, SPK, THETA, OracleConflict, OracleInvalid, figure1_evaluate, figure1_train, fresh_model
 
 CONST = AdjustmentMethod.CONSTANT_INCREMENT
@@ -401,22 +401,6 @@ def _assert_records_agree(run):
     assert sum(r.di_correct for r in records) == run.dialogue_correct
     assert tuple(int(r.ti_correct) for r in records) == run.task_vector
     assert tuple(int(r.di_correct) for r in records) == run.dialogue_vector
-
-
-@st.composite
-def synthetic_corpora(draw):
-    kinds = draw(st.lists(st.sampled_from(list(CueKind)), min_size=1, max_size=6, unique=True))
-    dialogues = draw(st.integers(1, 6))
-    config = GeneratorConfig(
-        dialogues=dialogues,
-        turns_per_dialogue=draw(st.integers(1, 30)),
-        pairs=draw(st.integers(1, dialogues)),
-        cue_emit={k: draw(st.floats(0.0, 1.0)) for k in kinds},
-        cue_shift={k: draw(st.floats(0.0, 1.0)) for k in kinds},
-        base_shift_task=draw(st.floats(0.0, 0.3)),
-        base_shift_dialogue=draw(st.floats(0.0, 0.3)),
-    )
-    return gen_synthetic(config, draw(st.integers(0, 2**16)))
 
 
 def _outcome(call):
