@@ -9,19 +9,16 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .corpus import (
-    Corpus,
-    CorpusFormatError,
     GeneratorConfig,
-    GeneratorConfigError,
     distribution_report,
     format_corpus,
     gen_synthetic,
     load_corpus,
 )
-from .cues import UnknownCueError, ModelFormatError, load_model, parse_cue, save_model
+from .cues import load_model, parse_cue, save_model
 from .evalstats import (
     ComparisonRow,
     DegenerateStatisticError,
@@ -69,6 +66,10 @@ def _add_tracker_flags(parser: argparse.ArgumentParser) -> None:
         default=AdjustmentMethod.CONSTANT_INCREMENT_WITH_COUNTER.value,
         help="bpa adjustment method (default const-counter)",
     )
+    _add_index_flags(parser)
+
+
+def _add_index_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--default-x", type=float, default=0.5, help="default speaker mass of the initiative indices")
     parser.add_argument("--reset-strength", type=float, default=0.75, help="index mass put on the actual holder after an error")
 
@@ -77,10 +78,14 @@ def _tracker_config(args: argparse.Namespace) -> TrackerConfig:
     return TrackerConfig(
         delta=args.delta,
         method=AdjustmentMethod(args.method),
-        default_task_x=args.default_x,
-        default_dialogue_x=args.default_x,
+        default_x=args.default_x,
         reset_strength=args.reset_strength,
     )
+
+
+def _frozen_config(args: argparse.Namespace) -> TrackerConfig:
+    """The tracker settings a frozen run reads; delta and method are left at their defaults."""
+    return TrackerConfig(default_x=args.default_x, reset_strength=args.reset_strength)
 
 
 def _add_common_output(parser: argparse.ArgumentParser) -> None:
@@ -113,7 +118,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--teacher-forcing", type=_parse_bool, default=True, metavar="BOOL")
-    _add_tracker_flags(p)
+    _add_index_flags(p)
     _add_common_output(p)
     p.set_defaults(func=_cmd_eval)
 
@@ -143,7 +148,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--teacher-forcing", type=_parse_bool, default=True, metavar="BOOL")
-    _add_tracker_flags(p)
+    _add_index_flags(p)
     _add_common_output(p)
     p.set_defaults(func=_cmd_report_errors)
 
@@ -152,7 +157,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--focus-agent", required=True, help="expert agent for the control counts")
     p.add_argument("--teacher-forcing", type=_parse_bool, default=True, metavar="BOOL")
-    _add_tracker_flags(p)
+    _add_index_flags(p)
     _add_common_output(p)
     p.set_defaults(func=_cmd_compare)
 
@@ -249,7 +254,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     model = load_model(args.model)
-    result = evaluate(corpus, model, _tracker_config(args), teacher_forcing=args.teacher_forcing)
+    result = evaluate(corpus, model, _frozen_config(args), teacher_forcing=args.teacher_forcing)
     _emit(args, _accuracy_lines([("eval", result)], args.format))
     return 0
 
@@ -294,7 +299,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_report_errors(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     model = load_model(args.model)
-    run = evaluate(corpus, model, _tracker_config(args), teacher_forcing=args.teacher_forcing)
+    run = evaluate(corpus, model, _frozen_config(args), teacher_forcing=args.teacher_forcing)
     report = error_report(run, corpus)
     _emit(args, error_report_csv(report) if args.format == "csv" else error_report_text(report))
     return 0
@@ -302,7 +307,7 @@ def _cmd_report_errors(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    config = _tracker_config(args)
+    config = _frozen_config(args)
     rows = []
     for path in args.corpus:
         corpus = load_corpus(path)
@@ -322,28 +327,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_kappa(args: argparse.Namespace) -> int:
-    ratings = []
-    with open(args.ratings, "r", encoding="utf-8") as fh:
+def _data_lines(path: Path) -> Iterator[str]:
+    """The non-blank lines of a file that are not `#` comments, stripped."""
+    with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            ratings.append(line.split())
-    value = kappa(ratings)
+            if line and not line.startswith("#"):
+                yield line
+
+
+def _cmd_kappa(args: argparse.Namespace) -> int:
+    value = kappa([line.split() for line in _data_lines(args.ratings)])
     _emit(args, f"kappa,{value:.6f}\n" if args.format == "csv" else f"kappa = {value:.6f}\n")
     return 0
 
 
 def _cmd_cochran_q(args: argparse.Namespace) -> int:
-    outcomes = []
-    with open(args.outcomes, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            outcomes.append([int(tok) for tok in line.split()])
-    result = cochran_q(outcomes)
+    result = cochran_q([[int(tok) for tok in line.split()] for line in _data_lines(args.outcomes)])
     if args.format == "csv":
         text = f"q,df,p\n{result.statistic:.6f},{result.df},{result.p_value:.6g}\n"
     else:
@@ -389,9 +389,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DegenerateStatisticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DEGENERATE_EXIT
-    except (CorpusFormatError, ModelFormatError, UnknownCueError, GeneratorConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return VALIDATION_EXIT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_EXIT

@@ -4,16 +4,18 @@ Fourteen cue kinds are recognized.  Nine of them can move both the task and
 the dialogue initiative; the other five bear on the dialogue initiative
 only.  Each cue carries one trainable mass function per dimension it
 affects, plus a credit counter per mass function used by the
-counter-based adjustment methods.
+counter-based adjustment methods.  `TABLES` lists these 23 (cue, dimension)
+tables in model-file order, and a `CueModel` stores them in that order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
-from .evidence import MassFunction, Role, vacuous
+from .evidence import MassFunction, Role
 
 MODEL_HEADER = "initrack-model v1"
 
@@ -132,56 +134,90 @@ def parse_cue(token: str) -> CueKind:
         raise UnknownCueError(token) from None
 
 
-@dataclass
-class CueParams:
-    """Trainable state for one cue: per-dimension mass function and counter.
+# The model's tables in model-file order: per cue, its task table (cues that
+# affect both initiatives only), then its dialogue table.
+TABLES: tuple[tuple[CueKind, Dimension], ...] = tuple(
+    (spec.kind, dim)
+    for spec in _SPECS
+    for dim in ((Dimension.TASK, Dimension.DIALOGUE) if spec.effect is _BOTH else (Dimension.DIALOGUE,))
+)
+TABLE_INDEX = {key: i for i, key in enumerate(TABLES)}
 
-    Dialogue-only cues carry no task-side fields.
+
+def _table_field(dim: Dimension, counter: bool) -> property:
+    def get(self: CueParams) -> MassFunction | int | None:
+        i = TABLE_INDEX.get((self._kind, dim))
+        if i is None:
+            return None
+        return self._model.counters[i] if counter else MassFunction(*self._model.masses[i])
+
+    def set(self: CueParams, value: MassFunction | int) -> None:
+        i = TABLE_INDEX.get((self._kind, dim))
+        if i is None:
+            raise AttributeError(f"cue {self._kind} affects the dialogue initiative only")
+        if counter:
+            self._model.counters[i] = value
+        else:
+            self._model.masses[i] = [value.speaker, value.hearer, value.theta]
+
+    return property(get, set)
+
+
+class CueParams:
+    """One cue's tables in a `CueModel`, read and written through.
+
+    Dialogue-only cues have no task table: their task fields read None and
+    cannot be written.
     """
 
-    dialogue_bpa: MassFunction
-    dialogue_counter: int = 0
-    task_bpa: MassFunction | None = None
-    task_counter: int | None = None
+    __slots__ = ("_model", "_kind")
+
+    def __init__(self, model: CueModel, kind: CueKind) -> None:
+        self._model = model
+        self._kind = kind
+
+    dialogue_bpa = _table_field(Dimension.DIALOGUE, counter=False)
+    dialogue_counter = _table_field(Dimension.DIALOGUE, counter=True)
+    task_bpa = _table_field(Dimension.TASK, counter=False)
+    task_counter = _table_field(Dimension.TASK, counter=True)
 
 
 @dataclass
 class CueModel:
-    """The full set of learned per-cue parameters, keyed by cue kind."""
+    """The learned tables: one `[speaker, hearer, theta]` mass list and one
+    credit counter per entry of `TABLES`, in model-file order.
 
-    params: dict[CueKind, CueParams] = field(default_factory=dict)
+    `params` views the same tables per cue kind.
+    """
+
+    masses: list[list[float]]
+    counters: list[int]
+
+    @cached_property
+    def params(self) -> dict[CueKind, CueParams]:
+        return {spec.kind: CueParams(self, spec.kind) for spec in _SPECS}
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles leave out the view, which is rebuilt on access.
+        return {"masses": self.masses, "counters": self.counters}
 
 
 def init_model() -> CueModel:
     """A fresh model: every mass function vacuous, every counter zero."""
-    params: dict[CueKind, CueParams] = {}
-    for spec in _SPECS:
-        if spec.effect is CueEffect.BOTH:
-            params[spec.kind] = CueParams(vacuous(), 0, vacuous(), 0)
-        else:
-            params[spec.kind] = CueParams(vacuous(), 0)
-    return CueModel(params)
-
-
-def _bpa_line(kind: CueKind, dim: Dimension, bpa: MassFunction, counter: int) -> str:
-    return (
-        f"cue={kind.value} dim={dim.value}"
-        f" m_speaker={bpa.speaker:{_FLOAT_FMT}}"
-        f" m_hearer={bpa.hearer:{_FLOAT_FMT}}"
-        f" m_theta={bpa.theta:{_FLOAT_FMT}}"
-        f" counter={counter}"
-    )
+    return CueModel([[0.0, 0.0, 1.0] for _ in TABLES], [0] * len(TABLES))
 
 
 def format_model(model: CueModel) -> str:
     """Serialize a model to its canonical text form (header plus 23 lines)."""
     lines = [MODEL_HEADER]
-    for spec in _SPECS:
-        p = model.params[spec.kind]
-        if spec.effect is CueEffect.BOTH:
-            assert p.task_bpa is not None and p.task_counter is not None
-            lines.append(_bpa_line(spec.kind, Dimension.TASK, p.task_bpa, p.task_counter))
-        lines.append(_bpa_line(spec.kind, Dimension.DIALOGUE, p.dialogue_bpa, p.dialogue_counter))
+    for (kind, dim), (speaker, hearer, theta), counter in zip(TABLES, model.masses, model.counters):
+        lines.append(
+            f"cue={kind.value} dim={dim.value}"
+            f" m_speaker={speaker:{_FLOAT_FMT}}"
+            f" m_hearer={hearer:{_FLOAT_FMT}}"
+            f" m_theta={theta:{_FLOAT_FMT}}"
+            f" counter={counter}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -205,7 +241,7 @@ def _parse_kv(fields: list[str], expected: tuple[str, ...], source: str, lineno:
 
 def parse_model(text: str, source: str = "<model>") -> CueModel:
     """Parse the text model format; any defect raises with its line number."""
-    seen: dict[tuple[CueKind, Dimension], tuple[MassFunction, int]] = {}
+    seen: dict[tuple[CueKind, Dimension], tuple[list[float], int]] = {}
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -226,32 +262,27 @@ def parse_model(text: str, source: str = "<model>") -> CueModel:
             dim = Dimension(values["dim"])
         except ValueError:
             raise ModelFormatError(f"unknown dimension {values['dim']!r}", source, lineno) from None
-        if dim is Dimension.TASK and lookup(kind).effect is CueEffect.DIALOGUE_ONLY:
+        if (kind, dim) not in TABLE_INDEX:
             raise ModelFormatError(f"cue {kind} affects the dialogue initiative only", source, lineno)
         if (kind, dim) in seen:
             raise ModelFormatError(f"duplicate entry for cue {kind} dim {dim}", source, lineno)
         try:
-            bpa = MassFunction(float(values["m_speaker"]), float(values["m_hearer"]), float(values["m_theta"]))
+            masses = [float(values["m_speaker"]), float(values["m_hearer"]), float(values["m_theta"])]
+            MassFunction(*masses)  # raises if the masses are not a mass function
             counter = int(values["counter"])
         except ValueError as exc:
             raise ModelFormatError(str(exc), source, lineno) from None
-        seen[(kind, dim)] = (bpa, counter)
+        seen[(kind, dim)] = (masses, counter)
     if not header_seen:
         raise ModelFormatError("empty model file", source, 0)
 
-    params: dict[CueKind, CueParams] = {}
-    for spec in _SPECS:
-        dlg = seen.pop((spec.kind, Dimension.DIALOGUE), None)
-        if dlg is None:
-            raise ModelFormatError(f"missing dialogue entry for cue {spec.kind}", source, 0)
-        if spec.effect is CueEffect.BOTH:
-            tsk = seen.pop((spec.kind, Dimension.TASK), None)
-            if tsk is None:
-                raise ModelFormatError(f"missing task entry for cue {spec.kind}", source, 0)
-            params[spec.kind] = CueParams(dlg[0], dlg[1], tsk[0], tsk[1])
-        else:
-            params[spec.kind] = CueParams(dlg[0], dlg[1])
-    return CueModel(params)
+    missing = [key for key in TABLES if key not in seen]
+    if missing:
+        # The first cue with a missing entry is named, by its dialogue entry if both are missing.
+        kind = missing[0][0]
+        dim = Dimension.DIALOGUE if (kind, Dimension.DIALOGUE) in missing else Dimension.TASK
+        raise ModelFormatError(f"missing {dim} entry for cue {kind}", source, 0)
+    return CueModel([seen[key][0] for key in TABLES], [seen[key][1] for key in TABLES])
 
 
 def load_model(path: str | Path) -> CueModel:

@@ -120,46 +120,29 @@ class ErrorReport:
         return self.cells[(kind, dimension)]
 
 
-def _outcomes_in_corpus_order(run: RunResult, corpus: Corpus) -> tuple[bytes, bytes]:
-    """The run's TI/DI outcome vectors, reordered to the corpus's prediction points.
-
-    The run is matched to the corpus dialogue by dialogue, so its dialogues
-    may come in another order (a cross-validated run holds them in fold
-    order).
-    """
-    if run.predictions != sum(len(d.turns) - 1 for d in corpus.dialogues):
-        raise ValueError("run does not match corpus: differing prediction point counts")
-    spans: dict[str, tuple[int, int]] = {}  # dialogue id -> (first point, point count)
-    k = 0
-    for dialogue in run.dialogues:
-        spans[dialogue.id] = (k, len(dialogue.turns) - 1)
-        k += len(dialogue.turns) - 1
-    ti_ok, di_ok = bytearray(), bytearray()
-    for dialogue in corpus.dialogues:
-        k, n = spans.get(dialogue.id, (0, -1))
-        if n != len(dialogue.turns) - 1:
-            raise ValueError(f"run does not match corpus: dialogue {dialogue.id!r} differs")
-        ti_ok += run.ti_ok[k : k + n]
-        di_ok += run.di_ok[k : k + n]
-    return bytes(ti_ok), bytes(di_ok)
-
-
 def error_report(run: RunResult, corpus: Corpus) -> ErrorReport:
     """Classify each cue-bearing prediction point as shift or no-shift.
 
     A point is a Shift for a dimension when the next turn's holder differs
     from the predicting turn's holder.  A point with several cues counts
-    toward each of them.  The run must cover the corpus's prediction points;
-    the point's cues are read from the corpus.
+    toward each of them.  The run must cover the corpus's prediction points,
+    dialogue by dialogue; its dialogues may come in another order (a
+    cross-validated run holds them in fold order), since tallies are sums.
     """
-    ti_ok, di_ok = _outcomes_in_corpus_order(run, corpus)
+    if run.predictions != sum(len(d.turns) - 1 for d in corpus.dialogues):
+        raise ValueError("run does not match corpus: differing prediction point counts")
+    points = {dialogue.id: len(dialogue.turns) - 1 for dialogue in run.dialogues}
+    for dialogue in corpus.dialogues:
+        if points.get(dialogue.id) != len(dialogue.turns) - 1:
+            raise ValueError(f"run does not match corpus: dialogue {dialogue.id!r} differs")
     cells = {
         (spec.kind, dim): ErrorCell() for spec in canonical_specs() for dim in (Dimension.TASK, Dimension.DIALOGUE)
     }
     task_cells = {spec.kind: cells[(spec.kind, Dimension.TASK)] for spec in canonical_specs()}
     dialogue_cells = {spec.kind: cells[(spec.kind, Dimension.DIALOGUE)] for spec in canonical_specs()}
+    ti_ok, di_ok = run.ti_ok, run.di_ok
     k = 0
-    for dialogue in corpus.dialogues:
+    for dialogue in run.dialogues:
         turns = dialogue.turns
         for turn, nxt in zip(turns, islice(turns, 1, None)):
             if turn.cues:

@@ -7,16 +7,16 @@ holders, and (in training mode) adjusts cue parameters whenever a
 prediction disagrees with the annotation.  Because speakers alternate,
 moving to the next turn swaps the speaker/hearer components.
 
-All of this runs in one loop, `track`, over plain floats: for the length of
-a call the model's 23 (cue, dimension) tables are `[speaker, hearer, theta]`
-lists with int counters beside them, and they are written back to the
-`CueModel` when the call ends.  Every combination and every table
-adjustment is checked as a `MassFunction` would be; a step that fails the
-check is redone through `combine` or `MassFunction`, which raise its error.
-A run's outcome is stored once, as a `RunResult`: its dialogues and four
-bits per prediction point.  The per-point `TurnRecord`s are derived from
-those on request.  The object-level functions (`step_predict`, `adjust_bpa`,
-`credit_counters`, `run_dialogue`) are adapters over the same pieces.
+All of this runs in one loop, `track`, over plain floats: it reads and
+adjusts the model's 23 (cue, dimension) tables, `[speaker, hearer, theta]`
+lists with int counters beside them, in place.  Every combination and every
+table adjustment is checked as a `MassFunction` would be; a step that fails
+the check is redone through `combine` or `MassFunction`, which raise its
+error.  A run's outcome is stored once, as a `RunResult`: its dialogues and
+four bits per prediction point.  The per-point `TurnRecord`s are derived
+from those on request.  The object-level functions (`step_predict`,
+`adjust_bpa`, `credit_counters`, `run_dialogue`) are adapters over the same
+pieces.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import islice
 from typing import Sequence
 
 from .corpus import Corpus, Dialogue
-from .cues import CueEffect, CueKind, CueModel, Dimension, canonical_specs, init_model
+from .cues import TABLE_INDEX, CueKind, CueModel, Dimension, init_model
 from .evidence import SUM_TOLERANCE, MassFunction, Role, bayesian, combine, predicted_holder
 
 
@@ -47,8 +47,7 @@ class AdjustmentMethod(Enum):
 class TrackerConfig:
     delta: float = 0.35
     method: AdjustmentMethod = AdjustmentMethod.CONSTANT_INCREMENT_WITH_COUNTER
-    default_task_x: float = 0.5
-    default_dialogue_x: float = 0.5
+    default_x: float = 0.5
     reset_strength: float = 0.75
 
     def __post_init__(self) -> None:
@@ -57,10 +56,8 @@ class TrackerConfig:
         if self.delta >= 0.5:
             # A single observation would then out-mass the even prior.
             warnings.warn(f"delta={self.delta} is outside the recommended (0, 0.5) range", stacklevel=2)
-        for name in ("default_task_x", "default_dialogue_x"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        if not 0.0 <= self.default_x <= 1.0:
+            raise ValueError(f"default_x must lie in [0, 1], got {self.default_x!r}")
         if not 0.0 < self.reset_strength < 1.0:
             # 0 or 1 would make the index absorbing under combination.
             raise ValueError(f"reset_strength must lie strictly in (0, 1), got {self.reset_strength!r}")
@@ -75,7 +72,7 @@ class TrackerState:
 
 
 def default_state(config: TrackerConfig) -> TrackerState:
-    return TrackerState(bayesian(config.default_task_x), bayesian(config.default_dialogue_x))
+    return TrackerState(bayesian(config.default_x), bayesian(config.default_x))
 
 
 @dataclass(frozen=True)
@@ -220,14 +217,6 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # The plain-float kernel
 
-# The model's tables in model-file order: task then dialogue per cue.
-_SLOTS: tuple[tuple[CueKind, Dimension], ...] = tuple(
-    (spec.kind, dim)
-    for spec in canonical_specs()
-    for dim in ((Dimension.TASK, Dimension.DIALOGUE) if spec.effect is CueEffect.BOTH else (Dimension.DIALOGUE,))
-)
-_SLOT = {key: i for i, key in enumerate(_SLOTS)}
-
 Tables = list[list[float]]
 # Enum members read as globals: attribute access on an Enum class is slow.
 _CONST = AdjustmentMethod.CONSTANT_INCREMENT
@@ -236,31 +225,8 @@ _CONST_COUNTER = AdjustmentMethod.CONSTANT_INCREMENT_WITH_COUNTER
 
 def _cue_slots(cues: Sequence[CueKind]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The observed cues' task tables (both-effect cues only) and dialogue tables."""
-    task = tuple(_SLOT[k, Dimension.TASK] for k in cues if (k, Dimension.TASK) in _SLOT)
-    return task, tuple(_SLOT[k, Dimension.DIALOGUE] for k in cues)
-
-
-def _load_tables(model: CueModel) -> tuple[Tables, list[int]]:
-    tables, counters = [], []
-    for kind, dim in _SLOTS:
-        params = model.params[kind]
-        bpa, counter = (
-            (params.task_bpa, params.task_counter) if dim is Dimension.TASK else (params.dialogue_bpa, params.dialogue_counter)
-        )
-        assert bpa is not None and counter is not None
-        tables.append([bpa.speaker, bpa.hearer, bpa.theta])
-        counters.append(counter)
-    return tables, counters
-
-
-def _store_tables(model: CueModel, tables: Tables, counters: list[int]) -> None:
-    for (kind, dim), masses, counter in zip(_SLOTS, tables, counters):
-        params = model.params[kind]
-        bpa = MassFunction(*masses)
-        if dim is Dimension.TASK:
-            params.task_bpa, params.task_counter = bpa, counter
-        else:
-            params.dialogue_bpa, params.dialogue_counter = bpa, counter
+    task = tuple(TABLE_INDEX[k, Dimension.TASK] for k in cues if (k, Dimension.TASK) in TABLE_INDEX)
+    return task, tuple(TABLE_INDEX[k, Dimension.DIALOGUE] for k in cues)
 
 
 def _valid(s: float, h: float, t: float) -> bool:
@@ -345,63 +311,58 @@ def track(
     controls whether a misprediction re-anchors the current index on the
     annotated holder.
     """
-    tables, counters = _load_tables(model)
+    tables, counters = model.masses, model.counters
     counting = learn and config.method is not AdjustmentMethod.CONSTANT_INCREMENT
     slots_of: dict[tuple[CueKind, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    task0, dialogue0 = bayesian(config.default_task_x), bayesian(config.default_dialogue_x)
+    index0 = bayesian(config.default_x)
     to_speaker = reset_current(Role.SPEAKER, config.reset_strength)
     to_hearer = reset_current(Role.HEARER, config.reset_strength)
     reset_s = (to_speaker.speaker, to_speaker.hearer, to_speaker.theta)
     reset_h = (to_hearer.speaker, to_hearer.hearer, to_hearer.theta)
     ti_ok, di_ok, ti_speaker, di_speaker = bytearray(), bytearray(), bytearray(), bytearray()
-    try:
-        for dialogue in dialogues:
-            ts, th, tt = task0.speaker, task0.hearer, task0.theta
-            ds, dh, dt = dialogue0.speaker, dialogue0.hearer, dialogue0.theta
-            turns = dialogue.turns
-            for turn, nxt in zip(turns, islice(turns, 1, None)):
-                cues = turn.cues
-                if cues:
-                    slots = slots_of.get(cues)
-                    if slots is None:
-                        slots = slots_of[cues] = _cue_slots(cues)
-                    task_slots, dialogue_slots = slots
-                    if task_slots:
-                        ts, th, tt = _fold(ts, th, tt, tables, task_slots)
-                    ds, dh, dt = _fold(ds, dh, dt, tables, dialogue_slots)
-                else:
-                    task_slots = dialogue_slots = ()
-                speaker = turn.speaker
-                ti_pred, di_pred = ts >= th, ds >= dh
-                ti_actual, di_actual = nxt.ti_holder == speaker, nxt.di_holder == speaker
+    for dialogue in dialogues:
+        ts, th, tt = ds, dh, dt = index0.speaker, index0.hearer, index0.theta
+        turns = dialogue.turns
+        for turn, nxt in zip(turns, islice(turns, 1, None)):
+            cues = turn.cues
+            if cues:
+                slots = slots_of.get(cues)
+                if slots is None:
+                    slots = slots_of[cues] = _cue_slots(cues)
+                task_slots, dialogue_slots = slots
+                if task_slots:
+                    ts, th, tt = _fold(ts, th, tt, tables, task_slots)
+                ds, dh, dt = _fold(ds, dh, dt, tables, dialogue_slots)
+            else:
+                task_slots = dialogue_slots = ()
+            speaker = turn.speaker
+            ti_pred, di_pred = ts >= th, ds >= dh
+            ti_actual, di_actual = nxt.ti_holder == speaker, nxt.di_holder == speaker
 
-                if ti_pred == ti_actual:
-                    if counting and task_slots:
-                        _credit(counters, task_slots)
-                else:
-                    if learn and task_slots:
-                        _adjust(tables, counters, task_slots, ti_actual, config)
-                    if reset_on_error:
-                        ts, th, tt = reset_s if ti_actual else reset_h
-                if di_pred == di_actual:
-                    if counting and dialogue_slots:
-                        _credit(counters, dialogue_slots)
-                else:
-                    if learn and dialogue_slots:
-                        _adjust(tables, counters, dialogue_slots, di_actual, config)
-                    if reset_on_error:
-                        ds, dh, dt = reset_s if di_actual else reset_h
+            if ti_pred == ti_actual:
+                if counting and task_slots:
+                    _credit(counters, task_slots)
+            else:
+                if learn and task_slots:
+                    _adjust(tables, counters, task_slots, ti_actual, config)
+                if reset_on_error:
+                    ts, th, tt = reset_s if ti_actual else reset_h
+            if di_pred == di_actual:
+                if counting and dialogue_slots:
+                    _credit(counters, dialogue_slots)
+            else:
+                if learn and dialogue_slots:
+                    _adjust(tables, counters, dialogue_slots, di_actual, config)
+                if reset_on_error:
+                    ds, dh, dt = reset_s if di_actual else reset_h
 
-                ti_ok.append(ti_pred == ti_actual)
-                di_ok.append(di_pred == di_actual)
-                ti_speaker.append(ti_pred)
-                di_speaker.append(di_pred)
-                # The next turn's speaker is this turn's hearer.
-                ts, th = th, ts
-                ds, dh = dh, ds
-    finally:
-        if learn:
-            _store_tables(model, tables, counters)
+            ti_ok.append(ti_pred == ti_actual)
+            di_ok.append(di_pred == di_actual)
+            ti_speaker.append(ti_pred)
+            di_speaker.append(di_pred)
+            # The next turn's speaker is this turn's hearer.
+            ts, th = th, ts
+            ds, dh = dh, ds
     return RunResult(dialogues, bytes(ti_ok), bytes(di_ok), bytes(ti_speaker), bytes(di_speaker))
 
 
@@ -416,7 +377,7 @@ def step_predict(state: TrackerState, cues: Sequence[CueKind], model: CueModel) 
     current turn's role frame.  Dialogue-only cues contribute nothing on the
     task side.
     """
-    tables, _ = _load_tables(model)
+    tables = model.masses
     task_slots, dialogue_slots = _cue_slots(cues)
     m_t, m_d = state.m_t_cur, state.m_d_cur
     m_t_new = MassFunction(*_fold(m_t.speaker, m_t.hearer, m_t.theta, tables, task_slots))
@@ -435,12 +396,8 @@ def adjust_bpa(
 
     For the task dimension only cues with both-initiative effect are touched.
     """
-    tables, counters = _load_tables(model)
     slots = _cue_slots(cues)[0 if dimension is Dimension.TASK else 1]
-    try:
-        _adjust(tables, counters, slots, actual is Role.SPEAKER, config)
-    finally:
-        _store_tables(model, tables, counters)
+    _adjust(model.masses, model.counters, slots, actual is Role.SPEAKER, config)
 
 
 def credit_counters(
@@ -449,9 +406,7 @@ def credit_counters(
     """Give each observed cue one unit of credit after a correct prediction."""
     if config.method is AdjustmentMethod.CONSTANT_INCREMENT:
         return
-    tables, counters = _load_tables(model)
-    _credit(counters, _cue_slots(cues)[0 if dimension is Dimension.TASK else 1])
-    _store_tables(model, tables, counters)
+    _credit(model.counters, _cue_slots(cues)[0 if dimension is Dimension.TASK else 1])
 
 
 def reset_current(actual: Role, strength: float) -> MassFunction:

@@ -68,6 +68,14 @@ class TestUsage:
     def test_no_args(self):
         assert main([]) == 64
 
+    @pytest.mark.parametrize("command", ["eval", "report-errors", "compare"])
+    @pytest.mark.parametrize("flag", [["--delta", "0.35"], ["--method", "const"]])
+    def test_frozen_commands_take_no_training_flags(self, command, flag, good_corpus, tmp_path, capsys):
+        focus = ["--focus-agent", "manager"] if command == "compare" else []
+        argv = [command, "--corpus", str(good_corpus), "--model", str(tmp_path / "m.model"), *focus, *flag]
+        assert main(argv) == 64
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_ok(self, good_corpus, capsys):

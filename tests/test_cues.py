@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
 from initrack.cues import (
+    TABLE_INDEX,
     CueClass,
     CueEffect,
     CueKind,
@@ -16,7 +20,9 @@ from initrack.cues import (
     parse_model,
     save_model,
 )
+from initrack.evalstats import evaluate
 from initrack.evidence import MassFunction, Role, vacuous
+from initrack.tracker import AdjustmentMethod, TrackerConfig, train
 
 # The full taxonomy: (token, class, effect, expected holder).
 TAXONOMY = [
@@ -84,6 +90,61 @@ class TestInitModel:
             assert has_task == (spec.effect is CueEffect.BOTH)
 
 
+class TestParamsView:
+    def test_view_fetched_before_train_reads_the_trained_tables(self, handtrace_corpus):
+        model = init_model()
+        prompt = model.params[CueKind.NO_NEW_INFO_PROMPT]
+        train(handtrace_corpus, TrackerConfig(delta=0.35, method=AdjustmentMethod.CONSTANT_INCREMENT), model)
+        assert prompt.dialogue_bpa == MassFunction(0.0, 0.35, 0.65)
+        assert prompt.task_bpa == vacuous()
+
+    def test_writes_reach_the_model_file_and_the_tracker(self, handtrace_corpus):
+        model = init_model()
+        assert evaluate(handtrace_corpus, model, TrackerConfig()).dialogue_correct == 0
+        prompt = model.params[CueKind.NO_NEW_INFO_PROMPT]
+        prompt.dialogue_bpa = MassFunction(0.0, 0.35, 0.65)
+        prompt.dialogue_counter = 4
+        line = (
+            "cue=no_new_info:prompt dim=dialogue"
+            " m_speaker=0 m_hearer=0.34999999999999998 m_theta=0.65000000000000002 counter=4"
+        )
+        assert line in format_model(model).splitlines()
+        assert evaluate(handtrace_corpus, model, TrackerConfig()).dialogue_correct == 1
+
+    @pytest.mark.parametrize("name, value", [("task_bpa", MassFunction(0.2, 0.0, 0.8)), ("task_counter", 1)])
+    def test_dialogue_only_cue_has_no_task_table(self, name, value):
+        model = init_model()
+        params = model.params[CueKind.QUESTION_DOMAIN]
+        with pytest.raises(AttributeError, match="question:domain affects the dialogue initiative only"):
+            setattr(params, name, value)
+        assert getattr(params, name) is None
+        assert model == init_model()
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda model: pickle.loads(pickle.dumps(model))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_are_independent(self, clone):
+        model = init_model()
+        silence = model.params[CueKind.END_SILENCE]
+        silence.task_bpa = MassFunction(0.2, 0.0, 0.8)
+        copied = clone(model)
+        assert copied == model
+        copied.params[CueKind.END_SILENCE].dialogue_bpa = MassFunction(0.0, 0.5, 0.5)
+        copied.params[CueKind.END_SILENCE].task_counter = 5
+        assert copied != model
+        assert silence.dialogue_bpa == vacuous()
+        assert silence.task_counter == 0
+        assert copied.params[CueKind.END_SILENCE].task_bpa == MassFunction(0.2, 0.0, 0.8)
+
+    def test_view_is_not_part_of_the_value(self):
+        model = init_model()
+        model.params[CueKind.END_SILENCE].dialogue_counter = 2
+        assert repr(model) == f"CueModel(masses={model.masses!r}, counters={model.counters!r})"
+        other = init_model()
+        other.counters[TABLE_INDEX[CueKind.END_SILENCE, Dimension.DIALOGUE]] = 2
+        assert other == model
+
+
 class TestPersistence:
     def test_fresh_model_line_count(self):
         text = format_model(init_model())
@@ -133,6 +194,24 @@ class TestPersistence:
         lines = format_model(init_model()).strip().split("\n")
         with pytest.raises(ModelFormatError, match="missing"):
             parse_model("\n".join(lines[:-1]) + "\n")
+
+    @pytest.mark.parametrize(
+        "dropped, message",
+        [
+            # Line 0 is the header; lines 1 and 2 are explicit_giveup's task and dialogue entries.
+            ((23,), "<model>:0: missing dialogue entry for cue ambiguity:belief"),
+            ((1,), "<model>:0: missing task entry for cue explicit_giveup"),
+            ((1, 2), "<model>:0: missing dialogue entry for cue explicit_giveup"),
+            ((5, 22), "<model>:0: missing task entry for cue end_silence"),
+        ],
+    )
+    def test_missing_entry_message(self, dropped, message):
+        lines = format_model(init_model()).strip().split("\n")
+        text = "\n".join(line for i, line in enumerate(lines) if i not in dropped) + "\n"
+        with pytest.raises(ModelFormatError) as exc:
+            parse_model(text)
+        assert str(exc.value) == message
+        assert exc.value.line == 0
 
     def test_unknown_cue_rejected(self):
         text = "initrack-model v1\ncue=nope dim=task m_speaker=0 m_hearer=0 m_theta=1 counter=0\n"

@@ -63,7 +63,7 @@ class TestEvaluate:
         # 0.75 on the current holder, so on corpora whose dialogues open with
         # the speaker holding (as generated ones do), an all-vacuous model
         # predicts exactly what the keep-the-holder baseline predicts.
-        config = TrackerConfig(default_task_x=0.75, default_dialogue_x=0.75)
+        config = TrackerConfig(default_x=0.75)
         for seed in range(5):
             corpus = _mixed_corpus(seed)
             frozen = evaluate(corpus, init_model(), config)

@@ -152,7 +152,7 @@ class TestAdjust:
         # float range: the table stays vacuous and training completes.
         rows = [("a", "a", ("end_silence",))] * 1100 + [("b", "b", ())]
         corpus = make_corpus("long", make_dialogue("d1", ("a", "b"), rows))
-        config = TrackerConfig(method=VAR_COUNTER, default_task_x=0.75, default_dialogue_x=0.75)
+        config = TrackerConfig(method=VAR_COUNTER, default_x=0.75)
         result = train(corpus, config)
         params = result.model.params[CueKind.END_SILENCE]
         assert (params.task_counter, params.dialogue_counter) == (1098, 1098)
@@ -251,7 +251,7 @@ class TestTrain:
         # speaker, so the index follows the constant holder across swaps.
         rows = [("a", "a", ())] * 8
         corpus = make_corpus("flat", make_dialogue("d1", ("a", "b"), rows))
-        config = TrackerConfig(default_task_x=0.75, default_dialogue_x=0.75)
+        config = TrackerConfig(default_x=0.75)
         result = train(corpus, config)
         assert result.task_accuracy == 1.0
         assert result.dialogue_accuracy == 1.0
