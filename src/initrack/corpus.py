@@ -9,12 +9,12 @@ expected to merge consecutive same-speaker utterances into one turn.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from random import Random
 from typing import Iterable, Mapping
 
-from .cues import CueEffect, CueKind, UnknownCueError, canonical_specs, lookup, parse_cue
+from .cues import CueEffect, CueKind, UnknownCueError, canonical_specs, parse_cue
 from .evidence import Role
 
 
@@ -250,14 +250,19 @@ def format_corpus(corpus: Corpus) -> str:
     """The corpus as file text; ValueError names a name, id or agent that would not read back."""
     _check_token("corpus name", corpus.name)
     lines = [f"corpus {corpus.name}"]
+    turn_lines: dict[int, str] = {}  # per Turn object: parsed and generated corpora share equal turns
     for dialogue in corpus.dialogues:
         _check_token("dialogue id", dialogue.id)
         for agent in dialogue.agents:
             _check_token("agent", agent, ",")
         lines.append(f"dialogue {dialogue.id} agents={dialogue.agents[0]},{dialogue.agents[1]}")
         for turn in dialogue.turns:
-            cues = ",".join(k.value for k in turn.cues) if turn.cues else "-"
-            lines.append(f"turn speaker={turn.speaker} ti={turn.ti_holder} di={turn.di_holder} cues={cues}")
+            line = turn_lines.get(id(turn))
+            if line is None:
+                cues = ",".join(k.value for k in turn.cues) if turn.cues else "-"
+                line = f"turn speaker={turn.speaker} ti={turn.ti_holder} di={turn.di_holder} cues={cues}"
+                turn_lines[id(turn)] = line
+            lines.append(line)
         lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -414,38 +419,51 @@ class GeneratorConfig:
 
 
 def gen_synthetic(config: GeneratorConfig, seed: int) -> Corpus:
-    """Generate a corpus deterministically from (config, seed)."""
-    rng = random.Random(seed)
-    emitted_kinds = [spec.kind for spec in canonical_specs() if spec.kind in config.cue_emit]
+    """Generate a corpus deterministically from (config, seed).
+
+    Equal turns within an agent pair are one shared frozen `Turn`, as in
+    `parse_corpus`; their identity carries no meaning.
+    """
+    random = Random(seed).random
+    # One row per emitted cue, in canonical order: (kind, emission p, task-shift
+    # p or None, dialogue-shift p or None, hands to speaker).  A None skips the
+    # shift draw: dialogue-only cues have no task shift, and cues missing from
+    # cue_shift are pure noise.
+    rows = []
+    for spec in canonical_specs():
+        if spec.kind in config.cue_emit:
+            shift = config.cue_shift.get(spec.kind)
+            task_shift = shift if spec.effect is CueEffect.BOTH else None
+            rows.append((spec.kind, config.cue_emit[spec.kind], task_shift, shift, spec.expected_holder is Role.SPEAKER))
+    base_task, base_dialogue = config.base_shift_task, config.base_shift_dialogue
+    turns_by_pair: dict[tuple[str, str], dict[tuple, Turn]] = {}
     dialogues = []
     for d in range(config.dialogues):
         pair_index = d % config.pairs
-        agents = (f"a{pair_index}", f"b{pair_index}")
-        ti_holder = agents[0]
-        di_holder = agents[0]
+        a, b = agents = (f"a{pair_index}", f"b{pair_index}")
+        known = turns_by_pair.setdefault(agents, {})
+        ti_holder = di_holder = a
         turns = []
         for t in range(config.turns_per_dialogue):
-            speaker = agents[t % 2]
-            hearer = agents[(t + 1) % 2]
-            cues = tuple(k for k in emitted_kinds if rng.random() < config.cue_emit[k])
-            turn = Turn(speaker, hearer, ti_holder, di_holder, cues)
+            speaker, hearer = (b, a) if t % 2 else (a, b)
+            emitted = [row for row in rows if random() < row[1]]
+            cues = tuple([row[0] for row in emitted]) if emitted else ()
+            key = (speaker, ti_holder, di_holder, cues)
+            turn = known.get(key)
+            if turn is None:
+                turn = known[key] = Turn(speaker, hearer, ti_holder, di_holder, cues)
             turns.append(turn)
 
-            next_ti, next_di = ti_holder, di_holder
-            for kind in cues:
-                if kind not in config.cue_shift or lookup(kind).effect is not CueEffect.BOTH:
-                    continue
-                if rng.random() < config.cue_shift[kind]:
-                    next_ti = agent_of(lookup(kind).expected_holder, turn)
-            for kind in cues:
-                if kind not in config.cue_shift:
-                    continue
-                if rng.random() < config.cue_shift[kind]:
-                    next_di = agent_of(lookup(kind).expected_holder, turn)
-            if config.base_shift_task > 0.0 and rng.random() < config.base_shift_task:
-                next_ti = agents[0] if next_ti == agents[1] else agents[1]
-            if config.base_shift_dialogue > 0.0 and rng.random() < config.base_shift_dialogue:
-                next_di = agents[0] if next_di == agents[1] else agents[1]
-            ti_holder, di_holder = next_ti, next_di
-        dialogues.append(Dialogue(f"d{d + 1}", agents, tuple(turns)))
+            for _, _, task_shift, _, to_speaker in emitted:
+                if task_shift is not None and random() < task_shift:
+                    ti_holder = speaker if to_speaker else hearer
+            for _, _, _, dialogue_shift, to_speaker in emitted:
+                if dialogue_shift is not None and random() < dialogue_shift:
+                    di_holder = speaker if to_speaker else hearer
+            if base_task > 0.0 and random() < base_task:
+                ti_holder = b if ti_holder == a else a
+            if base_dialogue > 0.0 and random() < base_dialogue:
+                di_holder = b if di_holder == a else a
+        # Agents are distinct and speakers alternate by construction.
+        dialogues.append(Dialogue._prechecked(f"d{d + 1}", agents, tuple(turns)))
     return Corpus(config.name, tuple(dialogues))

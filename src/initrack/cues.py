@@ -55,6 +55,9 @@ class Dimension(Enum):
     TASK = "task"
     DIALOGUE = "dialogue"
 
+    # Members are singletons compared by identity; Enum.__hash__ runs in Python.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -74,6 +77,9 @@ class CueKind(Enum):
     SUBOPTIMALITY = "suboptimality"
     AMBIGUITY_ACTION = "ambiguity:action"
     AMBIGUITY_BELIEF = "ambiguity:belief"
+
+    # Members are singletons compared by identity; Enum.__hash__ runs in Python.
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value

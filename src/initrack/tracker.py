@@ -55,7 +55,7 @@ class TrackerConfig:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         if self.delta >= 0.5:
             # A single observation would then out-mass the even prior.
-            warnings.warn(f"delta={self.delta} is outside the recommended (0, 0.5) range", stacklevel=2)
+            warnings.warn(f"delta={self.delta} is outside the recommended (0, 0.5) range", stacklevel=3)
         if not 0.0 <= self.default_x <= 1.0:
             raise ValueError(f"default_x must lie in [0, 1], got {self.default_x!r}")
         if not 0.0 < self.reset_strength < 1.0:

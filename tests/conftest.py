@@ -56,18 +56,47 @@ def corpus_to_plain(corpus: Corpus) -> list[dict]:
     return out
 
 
+def _probabilities():
+    return st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
 @st.composite
-def synthetic_corpora(draw):
-    """gen_synthetic corpora; dialogues, turns, pairs, cue and shift rates and the seed vary."""
-    kinds = draw(st.lists(st.sampled_from(list(CueKind)), min_size=1, max_size=6, unique=True))
+def generator_configs(draw):
+    """GeneratorConfigs over the whole configuration space.
+
+    Emitted cues and shift keys are drawn independently, so some emitted cues
+    are pure noise (no shift entry) and some shift entries are never emitted.
+    Every probability, base shifts included, may be exactly 0 or 1.
+    """
+    kinds = st.lists(st.sampled_from(list(CueKind)), max_size=8, unique=True)
     dialogues = draw(st.integers(1, 6))
-    config = GeneratorConfig(
+    return GeneratorConfig(
         dialogues=dialogues,
         turns_per_dialogue=draw(st.integers(1, 30)),
         pairs=draw(st.integers(1, dialogues)),
-        cue_emit={k: draw(st.floats(0.0, 1.0)) for k in kinds},
-        cue_shift={k: draw(st.floats(0.0, 1.0)) for k in kinds},
-        base_shift_task=draw(st.floats(0.0, 0.3)),
-        base_shift_dialogue=draw(st.floats(0.0, 0.3)),
+        cue_emit={k: draw(_probabilities()) for k in draw(kinds)},
+        cue_shift={k: draw(_probabilities()) for k in draw(kinds)},
+        base_shift_task=draw(_probabilities()),
+        base_shift_dialogue=draw(_probabilities()),
     )
-    return gen_synthetic(config, draw(st.integers(0, 2**16)))
+
+
+@st.composite
+def synthetic_corpora(draw):
+    """gen_synthetic corpora over generator_configs and the seed."""
+    return gen_synthetic(draw(generator_configs()), draw(st.integers(0, 2**16)))
+
+
+def plain_to_corpus(name: str, dialogues: list[dict]) -> Corpus:
+    """Build a fully checked Corpus from the plain-dict form (ids, agents, turns)."""
+    return Corpus(
+        name,
+        tuple(
+            Dialogue(
+                d["id"],
+                tuple(d["agents"]),
+                tuple(make_turn(t["speaker"], t["hearer"], t["ti"], t["di"], tuple(t["cues"])) for t in d["turns"]),
+            )
+            for d in dialogues
+        ),
+    )

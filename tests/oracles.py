@@ -10,6 +10,7 @@ implementation under test.
 from __future__ import annotations
 
 import math
+import random
 
 SPK = frozenset({"speaker"})
 HEA = frozenset({"hearer"})
@@ -222,3 +223,62 @@ def _figure1(dialogues, model, learn, reset, delta, method, default_x, reset_str
             m_t_cur = bf_mass(m_t_new[HEA], m_t_new[SPK], m_t_new[THETA])
             m_d_cur = bf_mass(m_d_new[HEA], m_d_new[SPK], m_d_new[THETA])
     return trace
+
+
+# Expected holder per cue token, restated: these two cues hand the initiative
+# to the speaker, every other cue to the hearer.
+TO_SPEAKER = {"explicit_takeover", "question:domain"}
+
+
+def synthetic_dialogues(
+    *,
+    dialogues: int,
+    turns_per_dialogue: int,
+    pairs: int,
+    cue_emit: dict[str, float],
+    cue_shift: dict[str, float],
+    base_shift_task: float,
+    base_shift_dialogue: float,
+    seed: int,
+) -> list[dict]:
+    """Straight-line restatement of the synthetic generator and its draw order.
+
+    Per turn: one emission draw per configured cue in taxonomy order; then one
+    task-shift draw per emitted cue that affects both initiatives and has a
+    shift entry; then one dialogue-shift draw per emitted cue with a shift
+    entry; then one draw per base shift above 0.  Returns plain-dict dialogues
+    (with their agents) in the form figure1_train takes.
+    """
+    rng = random.Random(seed)
+    emitted_kinds = [k for k in ALL_CUES if k in cue_emit]
+    out = []
+    for d in range(dialogues):
+        pair_index = d % pairs
+        agents = (f"a{pair_index}", f"b{pair_index}")
+        ti_holder = agents[0]
+        di_holder = agents[0]
+        turns = []
+        for t in range(turns_per_dialogue):
+            speaker = agents[t % 2]
+            hearer = agents[(t + 1) % 2]
+            cues = [k for k in emitted_kinds if rng.random() < cue_emit[k]]
+            turns.append({"speaker": speaker, "hearer": hearer, "ti": ti_holder, "di": di_holder, "cues": cues})
+
+            next_ti, next_di = ti_holder, di_holder
+            for kind in cues:
+                if kind not in cue_shift or CUE_EFFECTS[kind] != "both":
+                    continue
+                if rng.random() < cue_shift[kind]:
+                    next_ti = speaker if kind in TO_SPEAKER else hearer
+            for kind in cues:
+                if kind not in cue_shift:
+                    continue
+                if rng.random() < cue_shift[kind]:
+                    next_di = speaker if kind in TO_SPEAKER else hearer
+            if base_shift_task > 0.0 and rng.random() < base_shift_task:
+                next_ti = agents[0] if next_ti == agents[1] else agents[1]
+            if base_shift_dialogue > 0.0 and rng.random() < base_shift_dialogue:
+                next_di = agents[0] if next_di == agents[1] else agents[1]
+            ti_holder, di_holder = next_ti, next_di
+        out.append({"id": f"d{d + 1}", "agents": agents, "turns": turns})
+    return out

@@ -1,8 +1,9 @@
 import dataclasses
+import hashlib
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from initrack.corpus import (
     Corpus,
@@ -24,7 +25,8 @@ from initrack.cues import CueKind
 from initrack.datasets import load_replica
 from initrack.evidence import Role
 
-from conftest import make_corpus, make_dialogue, synthetic_corpora
+from conftest import generator_configs, make_corpus, make_dialogue, plain_to_corpus, synthetic_corpora
+from oracles import synthetic_dialogues
 
 SAMPLE = """\
 corpus demo
@@ -383,3 +385,102 @@ class TestGenerator:
         for name in ("my corpus", "", "x\ny"):
             with pytest.raises(GeneratorConfigError, match=re.escape(repr(name))):
                 GeneratorConfig(name=name)
+
+
+K = CueKind
+
+# The benchmark's corpus make-up: (cue, emission p, shift p), all 14 cues.
+BENCH_CUES = (
+    (K.EXPLICIT_GIVEUP, 0.02, 0.95),
+    (K.EXPLICIT_TAKEOVER, 0.02, 0.95),
+    (K.END_SILENCE, 0.03, 0.90),
+    (K.NO_NEW_INFO_REPETITION, 0.04, 0.85),
+    (K.NO_NEW_INFO_PROMPT, 0.05, 0.90),
+    (K.QUESTION_DOMAIN, 0.05, 0.90),
+    (K.QUESTION_EVALUATION, 0.03, 0.85),
+    (K.OBLIGATION_FULFILLED_TASK, 0.04, 0.90),
+    (K.OBLIGATION_FULFILLED_DISCOURSE, 0.05, 0.85),
+    (K.INVALIDITY_ACTION, 0.03, 0.90),
+    (K.INVALIDITY_BELIEF, 0.03, 0.85),
+    (K.SUBOPTIMALITY, 0.02, 0.85),
+    (K.AMBIGUITY_ACTION, 0.03, 0.85),
+    (K.AMBIGUITY_BELIEF, 0.03, 0.85),
+)
+
+
+def bench_config(name: str, dialogues: int) -> GeneratorConfig:
+    return GeneratorConfig(
+        name=name, dialogues=dialogues, turns_per_dialogue=130, pairs=8,
+        cue_emit={k: emit for k, emit, _ in BENCH_CUES}, cue_shift={k: shift for k, _, shift in BENCH_CUES},
+        base_shift_task=0.005, base_shift_dialogue=0.01,
+    )
+
+
+README_CONFIG = GeneratorConfig(
+    dialogues=8, turns_per_dialogue=25, pairs=4,
+    cue_emit={K.NO_NEW_INFO_PROMPT: 0.35}, cue_shift={K.NO_NEW_INFO_PROMPT: 0.9},
+)
+
+# Pure noise cues (suboptimality and invalidity:belief have no shift entry),
+# shift entries never emitted (explicit_takeover; end_silence at emission p 0),
+# dialogue-only cues, probabilities of exactly 0 and 1, and one base shift at 0
+# with the other above 0.
+NOISE_CONFIG = GeneratorConfig(
+    name="noise", dialogues=12, turns_per_dialogue=40, pairs=3,
+    cue_emit={K.EXPLICIT_GIVEUP: 0.3, K.QUESTION_DOMAIN: 0.4, K.SUBOPTIMALITY: 0.25, K.AMBIGUITY_BELIEF: 1.0,
+              K.END_SILENCE: 0.0, K.INVALIDITY_BELIEF: 0.2},
+    cue_shift={K.EXPLICIT_GIVEUP: 0.8, K.QUESTION_DOMAIN: 1.0, K.AMBIGUITY_BELIEF: 0.0, K.END_SILENCE: 1.0,
+               K.EXPLICIT_TAKEOVER: 0.9},
+    base_shift_task=0.1, base_shift_dialogue=0.0,
+)
+
+
+def oracle_corpus(config: GeneratorConfig, seed: int) -> Corpus:
+    dialogues = synthetic_dialogues(
+        dialogues=config.dialogues,
+        turns_per_dialogue=config.turns_per_dialogue,
+        pairs=config.pairs,
+        cue_emit={k.value: p for k, p in config.cue_emit.items()},
+        cue_shift={k.value: p for k, p in config.cue_shift.items()},
+        base_shift_task=config.base_shift_task,
+        base_shift_dialogue=config.base_shift_dialogue,
+        seed=seed,
+    )
+    return plain_to_corpus(config.name, dialogues)
+
+
+class TestGeneratorDrawOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(generator_configs(), st.integers(0, 2**16))
+    @example(NOISE_CONFIG, 5)
+    @example(README_CONFIG, 7)
+    @example(GeneratorConfig(cue_emit={K.QUESTION_EVALUATION: 1.0}, cue_shift={K.QUESTION_EVALUATION: 1.0},
+                             base_shift_task=1.0, base_shift_dialogue=1.0), 0)
+    def test_matches_oracle(self, config, seed):
+        assert format_corpus(gen_synthetic(config, seed)) == format_corpus(oracle_corpus(config, seed))
+
+    # sha256 of format_corpus(gen_synthetic(config, seed)), fixed before the
+    # generator shared its turns.
+    @pytest.mark.parametrize(
+        ("config", "seed", "digest"),
+        [
+            (bench_config("grid", 77), 0, "2824dd9ae175a0969e8ade3b827544f2f477353222382f7e16db7dbf8663ccf2"),
+            (bench_config("eval", 770), 1, "36f0d4963909c46ba41ecad8d15385b70a034f926452ee2ac819ae584e35d818"),
+            (README_CONFIG, 7, "e96b617ac63c1ff20203aad3b8fc99b8877a435ec57471bf19fe84a7599d6174"),
+            (NOISE_CONFIG, 5, "90e390f71cbb68ee28c2bb8ae955f6470e3a41d7976965e15bdb23f08f2e810e"),
+        ],
+        ids=["train-grid", "eval-100k", "readme", "noise"],
+    )
+    def test_pinned_output(self, config, seed, digest):
+        text = format_corpus(gen_synthetic(config, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @settings(max_examples=100, deadline=None)
+    @given(synthetic_corpora())
+    def test_equal_turns_are_shared(self, corpus):
+        turns = [(d.agents, turn) for d in corpus.dialogues for turn in d.turns]
+        assert len({id(turn) for _, turn in turns}) == len(
+            {(agents, t.speaker, t.ti_holder, t.di_holder, t.cues) for agents, t in turns}
+        )
+        for d in corpus.dialogues:
+            assert Dialogue(d.id, d.agents, d.turns) == d

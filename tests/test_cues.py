@@ -64,6 +64,18 @@ class TestTaxonomy:
         assert spec.effect is CueEffect.BOTH
         assert spec.expected_holder is Role.HEARER
 
+    @pytest.mark.parametrize("member", [*CueKind, *Dimension])
+    def test_copied_members_hash_as_the_original(self, member):
+        for copied in (copy.deepcopy(member), pickle.loads(pickle.dumps(member))):
+            assert copied is member
+            assert hash(copied) == hash(member)
+            assert {member: 1}[copied] == 1
+
+    def test_copied_keys_find_their_table(self):
+        for key, i in TABLE_INDEX.items():
+            assert TABLE_INDEX[pickle.loads(pickle.dumps(key))] == i
+            assert TABLE_INDEX[copy.deepcopy(key)] == i
+
     def test_parse_cue(self):
         assert parse_cue("ambiguity:belief") is CueKind.AMBIGUITY_BELIEF
         assert parse_cue("question:evaluation") is CueKind.QUESTION_EVALUATION

@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.warns(UserWarning):
             TrackerConfig(delta=0.6)
 
+    def test_warning_names_the_caller(self):
+        # Not the dataclass-generated __init__, which has no file.
+        with pytest.warns(UserWarning) as record:
+            TrackerConfig(delta=0.6)
+        assert record[0].filename == __file__
+
     def test_reset_strength_strict(self):
         with pytest.raises(ValueError):
             TrackerConfig(reset_strength=1.0)
