@@ -119,13 +119,16 @@ def agent_of(role: Role, turn: Turn) -> str:
 # tokens without whitespace; agents also hold no ','.
 
 
-def parse_corpus(text: str, source: str = "<corpus>") -> Corpus:
+def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
     """Parse a corpus file; all-or-nothing, errors carry file:line positions.
 
-    Each distinct turn line is parsed once per agent pair.  A repeat reuses
-    that frozen `Turn`, so equal turns of a parsed corpus may be one object;
-    only its alternation with the previous turn is checked again.
+    `text` is the file's text, split at LF, or its lines as they come (a
+    file opened in text mode), each parsed as it is read.  Each distinct
+    turn line is parsed once per agent pair.  A repeat reuses that frozen
+    `Turn`, so equal turns of a parsed corpus may be one object; only its
+    alternation with the previous turn is checked again.
     """
+    lines = text.split("\n") if isinstance(text, str) else text
 
     def err(lineno: int, message: str) -> CorpusFormatError:
         return CorpusFormatError(message, source, lineno)
@@ -140,7 +143,7 @@ def parse_corpus(text: str, source: str = "<corpus>") -> Corpus:
     turns_by_pair: dict[tuple[str, str], dict[str, Turn]] = {}
     known: dict[str, Turn] = {}  # turn lines parsed under the open dialogue's agents
 
-    for lineno, raw in enumerate(text.split("\n"), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         turn = known.get(line)
         if turn is not None:
@@ -235,8 +238,21 @@ def parse_corpus(text: str, source: str = "<corpus>") -> Corpus:
 
 
 def load_corpus(path: str | Path) -> Corpus:
+    """Parse a UTF-8 corpus file line by line as it is read.
+
+    The file's text is never held whole, so loading allocates no buffer the
+    size of the file.  Line ends are read as universal newlines (CRLF and a
+    lone CR end a line, as LF does).  A file that does not decode raises the
+    `UnicodeDecodeError` of decoding it whole, at its position in the file,
+    even when an earlier line is malformed.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_corpus(fh.read(), str(path))
+        try:
+            return parse_corpus(fh, str(path))
+        except ValueError:
+            fh.seek(0)
+            fh.read()  # raises the decoding error of the whole file, if there is one
+            raise
 
 
 def _check_token(what: str, token: str, forbidden: str = "") -> None:

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import io
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +19,7 @@ from initrack.corpus import (
     format_corpus,
     gen_synthetic,
     largest_remainder_percentages,
+    load_corpus,
     parse_corpus,
     partition_by_pair,
     role_of,
@@ -184,6 +187,53 @@ class TestFormatErrors:
         with pytest.raises(CorpusFormatError) as exc:
             parse_corpus(text, "t.dti")
         assert (str(exc.value), exc.value.line, exc.value.source) == (f"t.dti:{line}: {message}", line, "t.dti")
+
+
+class TestLoading:
+    def test_parse_lines_as_they_come(self):
+        assert parse_corpus(io.StringIO(SAMPLE)) == parse_corpus(SAMPLE)
+        with pytest.raises(CorpusFormatError) as exc:
+            parse_corpus(io.StringIO(SAMPLE.replace("cues=no_new_info:prompt", "cues=promptz")), "t.dti")
+        assert str(exc.value) == "t.dti:4: unknown cue 'promptz'"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_ends(self, tmp_path, end):
+        path = tmp_path / "c.dti"
+        path.write_bytes(SAMPLE.replace("\n", end).encode())
+        assert load_corpus(path) == parse_corpus(SAMPLE)
+        bad = SAMPLE.replace("speaker=system", "speaker=manager")
+        path.write_bytes(bad.replace("\n", end).encode())
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"{path}:4: speaker 'manager' repeats; turns must alternate"
+
+    def test_decoding_error_names_its_file_position(self, tmp_path):
+        # The bad byte lies past the reader's first chunks and after a malformed
+        # line; the error is still the one of decoding the whole file.
+        head = b"corpus c\nbogus\n" + b"# filler\n" * 5000
+        path = tmp_path / "c.dti"
+        path.write_bytes(head + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError) as exc:
+            load_corpus(path)
+        assert exc.value.start == len(head)
+
+    def test_text_is_not_held_whole(self, tmp_path):
+        config = GeneratorConfig(dialogues=100, turns_per_dialogue=100, pairs=2,
+                                 cue_emit={CueKind.QUESTION_DOMAIN: 0.3, CueKind.NO_NEW_INFO_PROMPT: 0.2},
+                                 cue_shift={CueKind.QUESTION_DOMAIN: 0.8})
+        corpus = gen_synthetic(config, 3)
+        text = format_corpus(corpus)
+        path = tmp_path / "c.dti"
+        path.write_text(text, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            loaded = load_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == corpus
+        # Reading the file whole would alone take its size, and splitting it more.
+        assert peak < len(text) // 2
 
 
 class TestRoles:
