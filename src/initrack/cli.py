@@ -60,6 +60,10 @@ def _parse_bool(value: str) -> bool:
 
 def _add_tracker_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", type=float, default=0.35, help="adjustment increment (default 0.35)")
+    _add_method_flags(parser)
+
+
+def _add_method_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--method",
         choices=[m.value for m in AdjustmentMethod],
@@ -83,8 +87,8 @@ def _tracker_config(args: argparse.Namespace) -> TrackerConfig:
     )
 
 
-def _frozen_config(args: argparse.Namespace) -> TrackerConfig:
-    """The tracker settings a frozen run reads; delta and method are left at their defaults."""
+def _index_config(args: argparse.Namespace) -> TrackerConfig:
+    """The index settings alone; delta and method are left at their defaults."""
     return TrackerConfig(default_x=args.default_x, reset_strength=args.reset_strength)
 
 
@@ -140,7 +144,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sweep-to", type=float, default=0.475)
     p.add_argument("--sweep-step", type=float, default=0.025)
     p.add_argument("--xval", action="store_true", help="score each delta by cross-validation")
-    _add_tracker_flags(p)
+    _add_method_flags(p)
     _add_common_output(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -254,7 +258,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     model = load_model(args.model)
-    result = evaluate(corpus, model, _frozen_config(args), teacher_forcing=args.teacher_forcing)
+    result = evaluate(corpus, model, _index_config(args), teacher_forcing=args.teacher_forcing)
     _emit(args, _accuracy_lines([("eval", result)], args.format))
     return 0
 
@@ -280,16 +284,11 @@ def _cmd_xval(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    if args.sweep_step <= 0:
-        raise ValueError("--sweep-step must be positive")
-    deltas = delta_grid(args.sweep_from, args.sweep_to, args.sweep_step)
-    if not deltas:
-        raise ValueError("empty sweep grid")
     rows = sweep(
         corpus,
         AdjustmentMethod(args.method),
-        deltas,
-        base_config=_tracker_config(args),
+        delta_grid(args.sweep_from, args.sweep_to, args.sweep_step),
+        base_config=_index_config(args),
         cross_validated=args.xval,
     )
     _emit(args, sweep_csv(rows))
@@ -299,7 +298,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_report_errors(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     model = load_model(args.model)
-    run = evaluate(corpus, model, _frozen_config(args), teacher_forcing=args.teacher_forcing)
+    run = evaluate(corpus, model, _index_config(args), teacher_forcing=args.teacher_forcing)
     report = error_report(run, corpus)
     _emit(args, error_report_csv(report) if args.format == "csv" else error_report_text(report))
     return 0
@@ -307,7 +306,7 @@ def _cmd_report_errors(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    config = _frozen_config(args)
+    config = _index_config(args)
     rows = []
     for path in args.corpus:
         corpus = load_corpus(path)

@@ -13,21 +13,21 @@ lists with int counters beside them, in place.  Every combination and every
 table adjustment is checked as a `MassFunction` would be; a step that fails
 the check is redone through `combine` or `MassFunction`, which raise its
 error.  A run's outcome is stored once, as a `RunResult`: its dialogues and
-four bits per prediction point.  The per-point `TurnRecord`s are derived
-from those on request.  The object-level functions (`step_predict`,
-`adjust_bpa`, `credit_counters`, `run_dialogue`) are adapters over the same
-pieces.
+four bits per prediction point.  The per-point `TurnRecord`s, named tuples
+built with one tuple allocation each, are derived from those on request.
+The object-level functions (`step_predict`, `adjust_bpa`, `credit_counters`,
+`run_dialogue`) are adapters over the same pieces.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import islice
-from typing import Sequence
+from itertools import count, islice
+from typing import NamedTuple, Sequence
 
 from .corpus import Corpus, Dialogue
 from .cues import TABLE_INDEX, CueKind, CueModel, Dimension, init_model
@@ -83,8 +83,7 @@ class StepPrediction:
     di_role: Role
 
 
-@dataclass(frozen=True)
-class TurnRecord:
+class TurnRecord(NamedTuple):
     """One prediction point: made while processing `turn_index`, about the next turn.
 
     A prediction is correct when it names the agent that holds the
@@ -160,29 +159,30 @@ class RunResult:
 
     @cached_property
     def records(self) -> tuple[TurnRecord, ...]:
-        speaker, hearer = Role.SPEAKER, Role.HEARER
-        ti_speaker, di_speaker = self.ti_speaker, self.di_speaker
+        points = sum(len(d.turns) for d in self.dialogues) - len(self.dialogues)
+        if len(self.ti_speaker) != points or len(self.di_speaker) != points:
+            raise ValueError(f"{len(self.ti_speaker)} outcome bytes for {points} prediction points")
+        # tuple.__new__ builds each record in one call, skipping the
+        # NamedTuple's Python-level __new__; fields in declaration order.
+        new, speaker, hearer = tuple.__new__, Role.SPEAKER, Role.HEARER
+        ti_speaker, di_speaker = iter(self.ti_speaker), iter(self.di_speaker)
         records = []
-        k = 0
+        append = records.append
         for dialogue in self.dialogues:
-            turns = dialogue.turns
-            for t in range(len(turns) - 1):
-                turn, nxt = turns[t], turns[t + 1]
-                ti, di = ti_speaker[k], di_speaker[k]
-                records.append(
-                    TurnRecord(  # fields in declaration order
-                        dialogue.id,
-                        t,
-                        speaker if ti else hearer,
-                        turn.speaker if ti else turn.hearer,
-                        speaker if di else hearer,
-                        turn.speaker if di else turn.hearer,
-                        nxt.ti_holder,
-                        nxt.di_holder,
-                        turn.cues,
-                    )
-                )
-                k += 1
+            dialogue_id, turns = dialogue.id, dialogue.turns
+            # islice ends first, so zip takes no outcome bytes past the dialogue.
+            for t, turn, nxt, ti, di in zip(count(), turns, islice(turns, 1, None), ti_speaker, di_speaker):
+                append(new(TurnRecord, (
+                    dialogue_id,
+                    t,
+                    speaker if ti else hearer,
+                    turn.speaker if ti else turn.hearer,
+                    speaker if di else hearer,
+                    turn.speaker if di else turn.hearer,
+                    nxt.ti_holder,
+                    nxt.di_holder,
+                    turn.cues,
+                )))
         return tuple(records)
 
     @property
@@ -507,7 +507,8 @@ def sweep(
     rows = []
     for delta in sorted(deltas):
         try:
-            config = replace(base, delta=delta, method=method)
+            # Built here, not by dataclasses.replace, so a warning names this file.
+            config = TrackerConfig(delta=delta, method=method, default_x=base.default_x, reset_strength=base.reset_strength)
             if cross_validated:
                 from .evalstats import cross_validate
 

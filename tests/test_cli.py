@@ -221,6 +221,19 @@ class TestReports:
         assert main(["sweep", "--corpus", str(good_corpus), "--method", "const", flag, "nan"]) == 2
         assert capsys.readouterr().err == "error: delta grid bounds and step must be finite\n"
 
+    def test_sweep_takes_no_delta(self, good_corpus, capsys):
+        # The grid sets every delta, so a --delta would be read by no run.
+        assert main(["sweep", "--corpus", str(good_corpus), "--delta", "0.3"]) == 64
+        assert "unrecognized arguments: --delta 0.3" in capsys.readouterr().err
+
+    def test_sweep_zero_step_exit_2(self, good_corpus, capsys):
+        assert main(["sweep", "--corpus", str(good_corpus), "--sweep-step", "0"]) == 2
+        assert capsys.readouterr().err == "error: delta grid step must be positive, got 0.0\n"
+
+    def test_sweep_empty_grid_exit_2(self, good_corpus, capsys):
+        assert main(["sweep", "--corpus", str(good_corpus), "--sweep-from", "0.3", "--sweep-to", "0.1"]) == 2
+        assert capsys.readouterr().err == "error: sweep requires at least one delta\n"
+
     def test_report_errors(self, synth_corpus, tmp_path, capsys):
         model_path = tmp_path / "m.model"
         main(["train", "--corpus", str(synth_corpus), "--model", str(model_path)])

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 import initrack
 
@@ -33,9 +34,10 @@ from initrack.evalstats import (
     kappa,
     paired_outcomes,
 )
-from initrack.tracker import AdjustmentMethod, TrackerConfig, train
+from initrack.evidence import Role
+from initrack.tracker import AdjustmentMethod, TrackerConfig, TurnRecord, track, train
 
-from conftest import make_corpus, make_dialogue
+from conftest import make_corpus, make_dialogue, synthetic_corpora
 
 
 def _mixed_corpus(seed=21):
@@ -138,6 +140,13 @@ class TestRunResult:
         assert [r.predicted_di_agent for r in run.records] == ["a", "b", "a"]
         assert run.records is run.records
 
+    @pytest.mark.parametrize("points", [2, 4])
+    def test_records_reject_vectors_of_another_length(self, points):
+        run = _run_with([True] * points)
+        moved = RunResult(_run_with([True] * 3).dialogues, run.ti_ok, run.di_ok, run.ti_speaker, run.di_speaker)
+        with pytest.raises(ValueError, match=f"{points} outcome bytes for 3 prediction points"):
+            moved.records
+
     def test_copies_and_pickles(self):
         for run in (baseline_run(_mixed_corpus()), _run_with([True, False])):
             data = pickle.dumps(run)
@@ -145,7 +154,48 @@ class TestRunResult:
             assert copy.copy(run) == run
             # The records are cached on first access, but not pickled.
             assert run.records and pickle.dumps(run) == data
-            assert pickle.loads(data).records == run.records
+            loaded = pickle.loads(data)
+            assert "records" not in loaded.__dict__
+            assert loaded.records == run.records
+            assert all(type(r) is TurnRecord for r in loaded.records)
+
+    def test_records_are_immutable_hashable_named_tuples(self):
+        run = _run_with([True, False, True])
+        record = run.records[1]
+        assert isinstance(record, TurnRecord)
+        assert record == ("d1", 1, Role.SPEAKER, "b", Role.SPEAKER, "b", "a", "a", ())
+        assert record._fields == (
+            "dialogue_id", "turn_index", "predicted_ti", "predicted_ti_agent", "predicted_di",
+            "predicted_di_agent", "actual_ti_agent", "actual_di_agent", "cues",
+        )
+        assert not record.ti_correct and not record.di_correct
+        with pytest.raises(AttributeError):
+            record.turn_index = 0
+        with pytest.raises(AttributeError):
+            record.extra = 0
+        assert len(set(run.records)) == 3 and hash(record) == hash(tuple(record))
+        assert record._replace(actual_ti_agent="b").ti_correct
+
+    def test_concat_records(self):
+        runs = [baseline_run(_mixed_corpus(seed)) for seed in (21, 22)]
+        runs.append(_run_with([True, False]))
+        assert RunResult.concat(runs).records == runs[0].records + runs[1].records + runs[2].records
+
+    @settings(max_examples=60, deadline=None)
+    @given(synthetic_corpora(), st.sampled_from(list(AdjustmentMethod)), st.booleans())
+    def test_records_restate_the_run(self, corpus, method, learn):
+        runs = [baseline_run(corpus)]
+        try:
+            runs.append(track(corpus.dialogues, init_model(), TrackerConfig(method=method), learn=learn))
+        except ValueError:  # total conflict or a failed mass check while learning
+            assert learn
+        for run in runs:
+            expected = _restated_records(run)
+            assert len(run.records) == len(expected)
+            for record, fields in zip(run.records, expected):
+                assert type(record) is TurnRecord
+                for name, value in fields.items():
+                    assert getattr(record, name) == value, name
 
 
 class TestBaseline:
@@ -337,6 +387,33 @@ def _run_with(correct: list[bool]) -> RunResult:
     ok = bytes(correct)
     speaker = bytes(c == (t % 2 == 0) for t, c in enumerate(correct))
     return RunResult((dialogue,), ok, ok, speaker, speaker)
+
+
+def _restated_records(run: RunResult) -> list[dict]:
+    """Each point's record fields, read straight off the dialogues and the four vectors."""
+    out = []
+    k = 0
+    for dialogue in run.dialogues:
+        for t in range(len(dialogue.turns) - 1):
+            turn, nxt = dialogue.turns[t], dialogue.turns[t + 1]
+            ti_agent = turn.speaker if run.ti_speaker[k] else turn.hearer
+            di_agent = turn.speaker if run.di_speaker[k] else turn.hearer
+            out.append({
+                "dialogue_id": dialogue.id,
+                "turn_index": t,
+                "predicted_ti": Role.SPEAKER if run.ti_speaker[k] else Role.HEARER,
+                "predicted_ti_agent": ti_agent,
+                "predicted_di": Role.SPEAKER if run.di_speaker[k] else Role.HEARER,
+                "predicted_di_agent": di_agent,
+                "actual_ti_agent": nxt.ti_holder,
+                "actual_di_agent": nxt.di_holder,
+                "cues": turn.cues,
+                "ti_correct": run.ti_ok[k] == 1,
+                "di_correct": run.di_ok[k] == 1,
+            })
+            k += 1
+    assert k == run.predictions
+    return out
 
 
 def _run_with_counts(correct: int, total: int) -> RunResult:

@@ -5,6 +5,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from initrack import tracker
 from initrack.corpus import GeneratorConfig, gen_synthetic
 from initrack.cues import CueKind, Dimension, format_model, init_model
 from initrack.evalstats import evaluate
@@ -473,6 +474,13 @@ class TestSweep:
     def test_ascending_order(self, handtrace_corpus):
         rows = sweep(handtrace_corpus, CONST, [0.3, 0.1, 0.2])
         assert [r.delta for r in rows] == [0.1, 0.2, 0.3]
+
+    def test_warning_names_the_tracker(self, handtrace_corpus):
+        # Not dataclasses.py, where a config built by dataclasses.replace
+        # would place it.
+        with pytest.warns(UserWarning, match="delta=0.5") as record:
+            sweep(handtrace_corpus, CONST, [0.5])
+        assert record[0].filename == tracker.__file__
 
     def test_empty_grid_rejected(self, handtrace_corpus):
         with pytest.raises(ValueError):
