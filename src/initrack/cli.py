@@ -49,6 +49,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser: it reports its own unrecognised arguments, with
+    its own usage, instead of handing them up to the top-level parser."""
+
+    def parse_known_args(  # type: ignore[override]
+        self, args: Sequence[str] | None = None, namespace: argparse.Namespace | None = None
+    ) -> tuple[argparse.Namespace, list[str]]:
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -99,7 +112,7 @@ def _add_common_output(parser: argparse.ArgumentParser) -> None:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="initrack", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("validate", help="parse a corpus file and report problems")
     p.add_argument("--corpus", type=Path, required=True)

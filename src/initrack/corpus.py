@@ -48,6 +48,18 @@ class Turn:
         if len(set(self.cues)) != len(self.cues):
             raise ValueError("duplicate cue in turn")
 
+    @classmethod
+    def _prechecked(cls, speaker: str, hearer: str, ti_holder: str, di_holder: str, cues: tuple[CueKind, ...]) -> Turn:
+        """A turn whose agents, holders and cues the caller has already checked."""
+        turn = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(turn, "speaker", speaker)
+        set_field(turn, "hearer", hearer)
+        set_field(turn, "ti_holder", ti_holder)
+        set_field(turn, "di_holder", di_holder)
+        set_field(turn, "cues", cues)
+        return turn
+
 
 @dataclass(frozen=True)
 class Dialogue:
@@ -119,14 +131,19 @@ def agent_of(role: Role, turn: Turn) -> str:
 # tokens without whitespace; agents also hold no ','.
 
 
+_TURN_FIELDS = ("speaker", "ti", "di", "cues")
+
+
 def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
     """Parse a corpus file; all-or-nothing, errors carry file:line positions.
 
     `text` is the file's text, split at LF, or its lines as they come (a
     file opened in text mode), each parsed as it is read.  Each distinct
-    turn line is parsed once per agent pair.  A repeat reuses that frozen
-    `Turn`, so equal turns of a parsed corpus may be one object; only its
-    alternation with the previous turn is checked again.
+    turn line is parsed once per agent pair, and each distinct cue list once
+    per file.  A repeat reuses that frozen `Turn`, so equal turns of a parsed
+    corpus may be one object; only its alternation with the previous turn is
+    checked again.  Dialogues of one agent pair share one `agents` tuple, and
+    every turn holds those agent strings.
     """
     lines = text.split("\n") if isinstance(text, str) else text
 
@@ -140,21 +157,64 @@ def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
     current_agents: tuple[str, str] | None = None
     current_turns: list[Turn] = []
     current_line = 0
-    turns_by_pair: dict[tuple[str, str], dict[str, Turn]] = {}
+    previous_speaker: str | None = None
+    # Per agent pair: its one agents tuple, each agent mapped to the tuple's
+    # string, and the turn lines parsed under it.
+    pairs: dict[tuple[str, str], tuple[tuple[str, str], dict[str, str], dict[str, Turn]]] = {}
+    own: dict[str, str] = {}  # each agent of the open dialogue, mapped to its pair tuple's string
     known: dict[str, Turn] = {}  # turn lines parsed under the open dialogue's agents
+    cue_lists: dict[str, tuple[CueKind, ...]] = {"-": ()}  # valid cue fields parsed so far
 
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         turn = known.get(line)
         if turn is not None:
-            if current_turns and current_turns[-1].speaker == turn.speaker:
+            if turn.speaker == previous_speaker:
                 raise err(lineno, f"speaker {turn.speaker!r} repeats; turns must alternate")
+            previous_speaker = turn.speaker
             current_turns.append(turn)
             continue
         if not line or line.startswith("#"):
             continue
         fields = line.split()
         directive = fields[0]
+
+        if directive == "turn" and current_agents is not None:
+            values: dict[str, str] = {}
+            for part in fields[1:]:
+                key, sep, value = part.partition("=")
+                if not sep or key not in _TURN_FIELDS or key in values:
+                    raise err(lineno, f"malformed field {part!r}")
+                values[key] = value
+            if len(values) != len(_TURN_FIELDS):
+                missing = next(key for key in _TURN_FIELDS if key not in values)
+                raise err(lineno, f"missing field {missing!r}")
+            speaker = own.get(values["speaker"])
+            ti_holder = own.get(values["ti"])
+            di_holder = own.get(values["di"])
+            if speaker is None or ti_holder is None or di_holder is None:
+                key = next(key for key in ("speaker", "ti", "di") if values[key] not in own)
+                raise err(lineno, f"unknown agent {values[key]!r} in field {key!r}")
+            if speaker == previous_speaker:
+                raise err(lineno, f"speaker {speaker!r} repeats; turns must alternate")
+            cues = cue_lists.get(values["cues"])
+            if cues is None:
+                kinds: list[CueKind] = []
+                for token in values["cues"].split(","):
+                    try:
+                        kind = parse_cue(token)
+                    except UnknownCueError as exc:
+                        raise err(lineno, str(exc)) from None
+                    if kind in kinds:
+                        raise err(lineno, f"duplicate cue {token!r}")
+                    kinds.append(kind)
+                cues = cue_lists[values["cues"]] = tuple(kinds)
+            a, b = current_agents
+            hearer = b if speaker == a else a
+            turn = known[line] = Turn._prechecked(speaker, hearer, ti_holder, di_holder, cues)
+            previous_speaker = speaker
+            current_turns.append(turn)
+            continue
 
         if name is None:
             if directive != "corpus" or len(fields) != 2:
@@ -173,47 +233,18 @@ def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
             agents = fields[2][len("agents="):].split(",")
             if len(agents) != 2 or not all(agents) or agents[0] == agents[1]:
                 raise err(lineno, "agents must be two distinct non-empty names")
+            pair = (agents[0], agents[1])
+            if pair not in pairs:
+                pairs[pair] = (pair, {agent: agent for agent in pair}, {})
+            current_agents, own, known = pairs[pair]
             current_id = dialogue_id
-            current_agents = (agents[0], agents[1])
             current_turns = []
             current_line = lineno
-            known = turns_by_pair.setdefault(current_agents, {})
+            previous_speaker = None
             continue
 
         if directive == "turn":
-            if current_id is None or current_agents is None:
-                raise err(lineno, "turn outside a dialogue")
-            values: dict[str, str] = {}
-            for part in fields[1:]:
-                key, sep, value = part.partition("=")
-                if not sep or key not in ("speaker", "ti", "di", "cues") or key in values:
-                    raise err(lineno, f"malformed field {part!r}")
-                values[key] = value
-            for key in ("speaker", "ti", "di", "cues"):
-                if key not in values:
-                    raise err(lineno, f"missing field {key!r}")
-            pair = set(current_agents)
-            for key in ("speaker", "ti", "di"):
-                if values[key] not in pair:
-                    raise err(lineno, f"unknown agent {values[key]!r} in field {key!r}")
-            speaker = values["speaker"]
-            hearer = current_agents[1] if speaker == current_agents[0] else current_agents[0]
-            if current_turns and current_turns[-1].speaker == speaker:
-                raise err(lineno, f"speaker {speaker!r} repeats; turns must alternate")
-            cues: list[CueKind] = []
-            if values["cues"] != "-":
-                for token in values["cues"].split(","):
-                    try:
-                        kind = parse_cue(token)
-                    except UnknownCueError as exc:
-                        raise err(lineno, str(exc)) from None
-                    if kind in cues:
-                        raise err(lineno, f"duplicate cue {token!r}")
-                    cues.append(kind)
-            turn = Turn(speaker, hearer, values["ti"], values["di"], tuple(cues))
-            known[line] = turn
-            current_turns.append(turn)
-            continue
+            raise err(lineno, "turn outside a dialogue")
 
         if directive == "end":
             if current_id is None or current_agents is None:
@@ -467,7 +498,7 @@ def gen_synthetic(config: GeneratorConfig, seed: int) -> Corpus:
             key = (speaker, ti_holder, di_holder, cues)
             turn = known.get(key)
             if turn is None:
-                turn = known[key] = Turn(speaker, hearer, ti_holder, di_holder, cues)
+                turn = known[key] = Turn._prechecked(speaker, hearer, ti_holder, di_holder, cues)
             turns.append(turn)
 
             for _, _, task_shift, _, to_speaker in emitted:

@@ -132,12 +132,15 @@ def lookup(kind: CueKind) -> CueSpec:
     return _SPEC_BY_KIND[kind]
 
 
+_KIND_BY_TOKEN = {kind.value: kind for kind in CueKind}
+
+
 def parse_cue(token: str) -> CueKind:
     """Resolve a canonical cue identifier; matching is exact and case-sensitive."""
-    try:
-        return CueKind(token)
-    except ValueError:
-        raise UnknownCueError(token) from None
+    kind = _KIND_BY_TOKEN.get(token)
+    if kind is None:
+        raise UnknownCueError(token)
+    return kind
 
 
 # The model's tables in model-file order: per cue, its task table (cues that
@@ -246,10 +249,15 @@ def _parse_kv(fields: list[str], expected: tuple[str, ...], source: str, lineno:
 
 
 def parse_model(text: str, source: str = "<model>") -> CueModel:
-    """Parse the text model format; any defect raises with its line number."""
+    """Parse the text model format; any defect raises with its line number.
+
+    Lines end at LF only, as in `parse_corpus`: a stray CR is stripped with
+    the other surrounding whitespace, and other Unicode line separators are
+    plain whitespace.
+    """
     seen: dict[tuple[CueKind, Dimension], tuple[list[float], int]] = {}
     header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

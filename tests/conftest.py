@@ -61,20 +61,24 @@ def _probabilities():
 
 
 @st.composite
-def generator_configs(draw):
+def generator_configs(draw, cue_dense: bool = False):
     """GeneratorConfigs over the whole configuration space.
 
     Emitted cues and shift keys are drawn independently, so some emitted cues
     are pure noise (no shift entry) and some shift entries are never emitted.
-    Every probability, base shifts included, may be exactly 0 or 1.
+    Every probability, base shifts included, may be exactly 0 or 1.  With
+    `cue_dense`, six or more cue kinds are each emitted with probability 0.3
+    or more, so most turn lines of the corpus differ from every earlier one.
     """
     kinds = st.lists(st.sampled_from(list(CueKind)), max_size=8, unique=True)
+    emitted = st.lists(st.sampled_from(list(CueKind)), min_size=6, max_size=14, unique=True) if cue_dense else kinds
+    emit_p = st.floats(0.3, 1.0) if cue_dense else _probabilities()
     dialogues = draw(st.integers(1, 6))
     return GeneratorConfig(
         dialogues=dialogues,
         turns_per_dialogue=draw(st.integers(1, 30)),
         pairs=draw(st.integers(1, dialogues)),
-        cue_emit={k: draw(_probabilities()) for k in draw(kinds)},
+        cue_emit={k: draw(emit_p) for k in draw(emitted)},
         cue_shift={k: draw(_probabilities()) for k in draw(kinds)},
         base_shift_task=draw(_probabilities()),
         base_shift_dialogue=draw(_probabilities()),

@@ -226,6 +226,12 @@ class TestReports:
         assert main(["sweep", "--corpus", str(good_corpus), "--delta", "0.3"]) == 64
         assert "unrecognized arguments: --delta 0.3" in capsys.readouterr().err
 
+    def test_unknown_flag_shows_the_subcommand_usage(self, good_corpus, capsys):
+        assert main(["sweep", "--corpus", str(good_corpus), "--delta", "1.5"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: initrack sweep ")
+        assert err.endswith("initrack sweep: error: unrecognized arguments: --delta 1.5\n")
+
     def test_sweep_zero_step_exit_2(self, good_corpus, capsys):
         assert main(["sweep", "--corpus", str(good_corpus), "--sweep-step", "0"]) == 2
         assert capsys.readouterr().err == "error: delta grid step must be positive, got 0.0\n"

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import io
+import itertools
+import pickle
 import re
 import tracemalloc
 
@@ -165,6 +168,23 @@ FORMAT_ERRORS = [
     ("corpus x\nend\n", 2, "'end' outside a dialogue"),
     ("corpus x\ndialogue d1 agents=a,b\nend\n", 3, "dialogue 'd1' has no turns"),
     ("corpus x\nspeaker=a\n", 2, "unknown directive 'speaker=a'"),
+    ("# c\n\nturn speaker=a ti=a di=a cues=-\n", 3, "expected 'corpus <name>'"),
+    (HEAD + TURN_A + "end\n" + TURN_B, 5, "turn outside a dialogue"),
+    (HEAD + "turn cues=- di=a ti=a\n", 3, "missing field 'speaker'"),
+    (HEAD + "turn speaker=a cues=- ti=a\n", 3, "missing field 'di'"),
+    (HEAD + "turn speaker=a ti=c di=c cues=-\n", 3, "unknown agent 'c' in field 'ti'"),
+    (HEAD + "turn di=z ti=a speaker=z cues=-\n", 3, "unknown agent 'z' in field 'speaker'"),
+    (HEAD + "turn speaker=a ti=z di=a cues=promptz\n", 3, "unknown agent 'z' in field 'ti'"),
+    (HEAD + TURN_B + "turn speaker=b ti=b di=b cues=promptz\n", 4, "speaker 'b' repeats; turns must alternate"),
+    (HEAD + "turn speaker=a ti=a di=a cues=question:domain,question:domain,promptz\n", 3,
+     "duplicate cue 'question:domain'"),
+    # Errors on lines whose cue field already parsed.
+    (HEAD + "turn speaker=a ti=a di=a cues=end_silence\nturn speaker=b ti=c di=a cues=end_silence\n", 4,
+     "unknown agent 'c' in field 'ti'"),
+    (HEAD + "turn speaker=a ti=a di=a cues=end_silence\n" + TURN_B + "turn speaker=b ti=b di=a cues=end_silence\n", 5,
+     "speaker 'b' repeats; turns must alternate"),
+    (HEAD + "turn speaker=a ti=a di=a cues=end_silence\nturn speaker=b ti=a di=a cues=end_silence,end_silence\n", 4,
+     "duplicate cue 'end_silence'"),
     # Errors on lines whose text already parsed.
     (LONG + TURN_B, 203, "speaker 'b' repeats; turns must alternate"),
     (LONG + "end\n" + TURN_A, 204, "turn outside a dialogue"),
@@ -187,6 +207,70 @@ class TestFormatErrors:
         with pytest.raises(CorpusFormatError) as exc:
             parse_corpus(text, "t.dti")
         assert (str(exc.value), exc.value.line, exc.value.source) == (f"t.dti:{line}: {message}", line, "t.dti")
+
+
+# The first dialogue parses both turn lines; the second opens with a new
+# line and goes on with one the first dialogue parsed, both spoken by sys.
+ALTERNATION = [
+    "dialogue d1 agents=sys,usr\nturn speaker=sys ti=sys di=sys cues=-\nturn speaker=usr ti=sys di=sys cues=-\nend\n"
+    "dialogue d2 agents=sys,usr\nturn speaker=sys ti=usr di=usr cues=-\nturn speaker=sys ti=sys di=sys cues=-\nend\n",
+    "dialogue d1 agents=sys,usr\nturn speaker=sys ti=sys di=sys cues=-\nturn speaker=usr ti=sys di=sys cues=-\nend\n"
+    "dialogue d2 agents=sys,usr\nturn speaker=sys ti=sys di=sys cues=-\nturn speaker=sys ti=usr di=usr cues=-\nend\n",
+]
+
+
+class TestFirstSeenLines:
+    @pytest.mark.parametrize("body", ALTERNATION, ids=["new-then-parsed", "parsed-then-new"])
+    def test_alternation_is_checked_by_value(self, body):
+        with pytest.raises(CorpusFormatError) as exc:
+            parse_corpus("corpus c\n" + body, "t.dti")
+        assert (str(exc.value), exc.value.line) == ("t.dti:8: speaker 'sys' repeats; turns must alternate", 8)
+
+    @settings(max_examples=50, deadline=None)
+    @given(generator_configs(cue_dense=True), st.integers(0, 2**16))
+    def test_cue_dense_round_trip(self, tmp_path_factory, config, seed):
+        corpus = gen_synthetic(config, seed)
+        text = format_corpus(corpus)
+        assert parse_corpus(text) == corpus
+        path = tmp_path_factory.mktemp("dense") / "c.dti"
+        path.write_text(text, encoding="utf-8")
+        assert load_corpus(path) == corpus
+
+    @settings(max_examples=50, deadline=None)
+    @given(synthetic_corpora())
+    def test_turns_hold_their_dialogues_agents(self, corpus):
+        for parsed in (parse_corpus(format_corpus(corpus)), load_replica()):
+            pair_agents = {}
+            for d in parsed.dialogues:
+                assert pair_agents.setdefault(d.agents, d.agents) is d.agents  # one tuple per pair
+                for turn in d.turns:
+                    for agent in (turn.speaker, turn.hearer, turn.ti_holder, turn.di_holder):
+                        assert agent is d.agents[0] or agent is d.agents[1]
+
+    def test_field_order_is_free(self):
+        canonical = ("speaker=b", "ti=a", "di=b", "cues=end_silence,question:domain")
+        expected = parse_corpus(HEAD + TURN_A + f"turn {' '.join(canonical)}\nend\n")
+        for order in itertools.permutations(canonical):
+            assert parse_corpus(HEAD + TURN_A + f"turn {' '.join(order)}\nend\n") == expected
+        # A reordered line and its canonical form, as turns of one dialogue.
+        text = HEAD + TURN_A + "turn speaker=b ti=a di=a cues=-\n" + "turn di=a cues=- ti=a speaker=a\n" + TURN_B + "end\n"
+        turns = parse_corpus(text).dialogues[0].turns
+        assert turns[2] == turns[0] and turns[3] == turns[1]
+
+    def test_prechecked_turn_is_a_turn(self):
+        fields = ("sys", "usr", "usr", "sys", (CueKind.END_SILENCE, CueKind.QUESTION_DOMAIN))
+        checked, prechecked = Turn(*fields), Turn._prechecked(*fields)
+        assert type(prechecked) is Turn
+        assert prechecked == checked and hash(prechecked) == hash(checked)
+        assert repr(prechecked) == repr(checked)
+        assert vars(prechecked) == vars(checked)
+        for clone in (pickle.loads(pickle.dumps(prechecked)), copy.deepcopy(prechecked), copy.copy(prechecked)):
+            assert type(clone) is Turn and clone == checked and hash(clone) == hash(checked)
+        assert dataclasses.replace(prechecked, ti_holder="sys") == dataclasses.replace(checked, ti_holder="sys")
+        with pytest.raises(ValueError, match="initiative holders"):
+            dataclasses.replace(prechecked, ti_holder="nobody")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prechecked.speaker = "usr"
 
 
 class TestLoading:

@@ -243,6 +243,33 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="header"):
             parse_model("cue=end_silence dim=task m_speaker=0 m_hearer=0 m_theta=1 counter=0\n")
 
+    def test_lines_end_at_lf_only(self):
+        # str.splitlines() would end the comment at U+2028 and read 'B' as an entry line.
+        text = format_model(init_model()).replace("\n", "\n# trained on corpus A\u2028B\n", 1)
+        assert parse_model(text) == init_model()
+
+    def test_form_feed_line_is_one_line(self):
+        lines = format_model(init_model()).split("\n")
+        text = "\n".join([lines[0], lines[1], "\x0c", lines[2], "cue=bogus dim=task m_speaker=0 m_hearer=0 m_theta=1 counter=0"])
+        with pytest.raises(ModelFormatError) as exc:
+            parse_model(text)
+        assert (str(exc.value), exc.value.line) == ("<model>:5: unknown cue 'bogus'", 5)
+
+    def test_crlf_line_ends(self):
+        text = format_model(init_model())
+        assert parse_model(text.replace("\n", "\r\n")) == init_model()
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_load_reads_universal_newlines(self, tmp_path, end):
+        path = tmp_path / "m.model"
+        path.write_bytes(format_model(init_model()).replace("\n", end).encode())
+        assert load_model(path) == init_model()
+        bogus = "cue=bogus dim=task m_speaker=0 m_hearer=0 m_theta=1 counter=0"
+        path.write_bytes(f"initrack-model v1{end}\x0c{end}{bogus}{end}".encode())
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}:3: unknown cue 'bogus'"
+
     def test_dimension_str(self):
         assert str(Dimension.TASK) == "task"
         assert str(Dimension.DIALOGUE) == "dialogue"
