@@ -323,6 +323,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for path in args.corpus:
         corpus = load_corpus(path)
+        if not any(args.focus_agent in d.agents for d in corpus.dialogues):
+            raise ValueError(f"agent {args.focus_agent!r} takes part in no dialogue of corpus {corpus.name!r} ({path})")
         expert_ti = sum(t.ti_holder == args.focus_agent for d in corpus.dialogues for t in d.turns)
         expert_di = sum(t.di_holder == args.focus_agent for d in corpus.dialogues for t in d.turns)
         rows.append(

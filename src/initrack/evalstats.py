@@ -343,57 +343,31 @@ def paired_outcomes(baseline: RunResult, trained: RunResult, dimension: Dimensio
 
 
 # ---------------------------------------------------------------------------
-# Chi-square upper tail via the regularized incomplete gamma function
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    # P(a, x) by series expansion; converges fast for x < a + 1.
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(1000):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    # Q(a, x) by modified Lentz continued fraction; converges fast for x >= a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+# Chi-square upper tail
 
 
 def chi_square_sf(x: float, df: int) -> float:
-    """P(chi-square with df degrees of freedom >= x), to ~14 significant digits."""
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
+    """P(chi-square with df degrees of freedom >= x), for a whole-number df.
+
+    With y = x / 2 the tail has a closed form (Abramowitz & Stegun
+    26.4.4-26.4.5): e^-y sum_{j < df/2} y^j / j! for even df, and
+    erfc(sqrt y) + e^-y sum_{j < (df-1)/2} y^(j+1/2) / Gamma(j+3/2) for odd df.
+    Each term is taken in log space: a product recurrence from e^-y underflows
+    once x passes about 1490, which would zero a tail that is near 1 at large df.
+    """
+    if df <= 0 or df % 1:
+        raise ValueError("degrees of freedom must be a positive whole number")
     if x < 0 or math.isnan(x):
         raise ValueError("chi-square statistic must be non-negative")
-    if x == 0.0:
+    y = x / 2.0
+    if y == 0.0:  # also an x so small that x / 2 underflows
         return 1.0
-    a = df / 2.0
-    half = x / 2.0
-    if half < a + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_gamma_series(a, half)))
-    return min(1.0, max(0.0, _upper_gamma_cf(a, half)))
+    if y == math.inf:
+        return 0.0
+    offset = (df % 2) / 2.0
+    log_y = math.log(y)
+    terms = [math.exp((j + offset) * log_y - y - math.lgamma(j + offset + 1.0)) for j in range(int(df) // 2)]
+    if offset:
+        terms.append(math.erfc(math.sqrt(y)))
+    # fsum rounds the sum once, so the result does not depend on the term order or Python version.
+    return min(1.0, math.fsum(terms))

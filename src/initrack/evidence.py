@@ -54,9 +54,6 @@ class MassFunction:
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValueError(f"masses must sum to 1, got {total!r}")
 
-    def mass(self, role: Role) -> float:
-        return self.speaker if role is Role.SPEAKER else self.hearer
-
 
 def vacuous() -> MassFunction:
     """The no-evidence assignment: all mass uncommitted."""

@@ -461,6 +461,9 @@ def train(corpus: Corpus, config: TrackerConfig, model: CueModel | None = None) 
     return TrainResult(model, track(corpus.dialogues, model, config, learn=True))
 
 
+MAX_GRID_POINTS = 10_000
+
+
 def delta_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     """start + step * i for i = 0, 1, ... while it stays within stop (+1e-12 for rounding)."""
     if not all(map(math.isfinite, (start, stop, step))):
@@ -469,6 +472,9 @@ def delta_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
         raise ValueError(f"delta grid step must be positive, got {step!r}")
     grid = []
     while (value := start + len(grid) * step) <= stop + 1e-12:
+        # A step too small to move start would otherwise grow the grid until memory runs out.
+        if len(grid) == MAX_GRID_POINTS:
+            raise ValueError(f"delta grid would have more than {MAX_GRID_POINTS} points")
         grid.append(value)
     return tuple(grid)
 
@@ -496,29 +502,32 @@ def sweep(
     """One independent run per delta, rows in ascending delta order.
 
     With cross_validated=True each row reports leave-one-pair-out accuracy
-    instead of the training-pass accuracy.  A failing run aborts the sweep;
-    its error names the delta and the method.
+    instead of the training-pass accuracy.  Every delta's config is built
+    before the first run, so a bad delta fails before any training.  A failing
+    config or run aborts the sweep; its error names the delta and the method.
     """
     if deltas is None:
         deltas = default_delta_grid()
     if not deltas:
         raise ValueError("sweep requires at least one delta")
     base = base_config if base_config is not None else TrackerConfig()
-    rows = []
-    for delta in sorted(deltas):
-        try:
+    configs, rows = [], []
+    try:
+        for delta in sorted(deltas):
             # Built here, not by dataclasses.replace, so a warning names this file.
-            config = TrackerConfig(delta=delta, method=method, default_x=base.default_x, reset_strength=base.reset_strength)
+            configs.append(TrackerConfig(delta=delta, method=method, default_x=base.default_x, reset_strength=base.reset_strength))
+        for config in configs:
+            delta = config.delta
             if cross_validated:
                 from .evalstats import cross_validate
 
                 result = cross_validate(corpus, config).aggregate
             else:
                 result = train(corpus, config).run
-        except ValueError as exc:
-            exc.args = (f"delta={delta:g} method={method}: {exc}",)
-            raise
-        rows.append(SweepRow(delta, result.task_accuracy, result.dialogue_accuracy))
+            rows.append(SweepRow(delta, result.task_accuracy, result.dialogue_accuracy))
+    except ValueError as exc:
+        exc.args = (f"delta={delta:g} method={method}: {exc}",)
+        raise
     return rows
 
 

@@ -236,6 +236,10 @@ class TestReports:
         assert main(["sweep", "--corpus", str(good_corpus), "--sweep-step", "0"]) == 2
         assert capsys.readouterr().err == "error: delta grid step must be positive, got 0.0\n"
 
+    def test_sweep_grid_too_fine_exit_2(self, good_corpus, capsys):
+        assert main(["sweep", "--corpus", str(good_corpus), "--sweep-step", "1e-300"]) == 2
+        assert capsys.readouterr().err == "error: delta grid would have more than 10000 points\n"
+
     def test_sweep_empty_grid_exit_2(self, good_corpus, capsys):
         assert main(["sweep", "--corpus", str(good_corpus), "--sweep-from", "0.3", "--sweep-to", "0.1"]) == 2
         assert capsys.readouterr().err == "error: sweep requires at least one delta\n"
@@ -285,6 +289,16 @@ class TestReports:
         out = capsys.readouterr().out
         assert out.startswith("corpus,dim,expert_pct,baseline_pct,trained_pct,improvement_pts")
 
+    def test_compare_unknown_focus_agent_exit_2(self, synth_corpus, tmp_path, capsys):
+        model_path = tmp_path / "m.model"
+        main(["train", "--corpus", str(synth_corpus), "--model", str(model_path)])
+        capsys.readouterr()
+        argv = ["compare", "--corpus", str(synth_corpus), "--model", str(model_path), "--focus-agent", "nobody"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: agent 'nobody' takes part in no dialogue of corpus 'synthetic' ({synth_corpus})\n"
+
     def test_out_file(self, good_corpus, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
         assert (
@@ -313,6 +327,21 @@ class TestStatistics:
         out = capsys.readouterr().out
         assert "Q = 1.000000" in out
         assert "df = 1" in out
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # Odd df: the erfc branch of the chi-square tail.
+            ("1 0/1 0/1 0/0 1/1 1/0 0/1 0", "Q = 1.800000, df = 1, p = 0.179712\n"),
+            # Even df: the exponential-sum branch.
+            ("1 0 0/1 1 0/1 0 1/0 1 0/1 1 1/0 0 0/1 1 0/1 0 0", "Q = 4.000000, df = 2, p = 0.135335\n"),
+        ],
+    )
+    def test_cochran_exact_lines(self, tmp_path, capsys, rows, expected):
+        path = tmp_path / "outcomes.txt"
+        path.write_text(rows.replace("/", "\n") + "\n", encoding="utf-8")
+        assert main(["cochran-q", "--outcomes", str(path)]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_cochran_ragged_rows_exit_2(self, tmp_path, capsys):
         path = tmp_path / "outcomes.txt"

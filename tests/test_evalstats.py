@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import os
 import pickle
 import random
@@ -600,10 +601,15 @@ class TestChiSquareTail:
         assert chi_square_sf(0.0, 1) == 1.0
         assert chi_square_sf(1.0, 1) == pytest.approx(0.31731050786291415, rel=1e-10)
         assert chi_square_sf(3.841458820694124, 1) == pytest.approx(0.05, rel=1e-9)
+        # x / 2 underflows to 0 for the smallest subnormal.
+        assert chi_square_sf(5e-324, 1) == 1.0
+        assert chi_square_sf(5e-324, 2) == 1.0
+        assert chi_square_sf(math.inf, 1) == 0.0
+        assert chi_square_sf(math.inf, 2) == 0.0
 
     def test_ten_significant_digits_vs_scipy(self):
-        for df in (1, 2, 3, 5, 10, 30):
-            for x in (0.01, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 60.0):
+        for df in (1, 2, 3, 5, 10, 30, 99, 100, 1000, 20000):
+            for x in (0.01, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 60.0, 200.0, 700.0, 1400.0, df, df + 2):
                 expected = scipy.stats.chi2.sf(x, df)
                 if expected > 1e-300:
                     assert chi_square_sf(x, df) == pytest.approx(expected, rel=1e-10)
@@ -613,6 +619,8 @@ class TestChiSquareTail:
             chi_square_sf(-1.0, 1)
         with pytest.raises(ValueError):
             chi_square_sf(1.0, 0)
+        with pytest.raises(ValueError):
+            chi_square_sf(1.0, 2.5)
 
 
 def test_import_loads_no_numpy():

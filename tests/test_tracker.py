@@ -482,6 +482,13 @@ class TestSweep:
             sweep(handtrace_corpus, CONST, [0.5])
         assert record[0].filename == tracker.__file__
 
+    def test_bad_delta_fails_before_training(self, handtrace_corpus, monkeypatch):
+        trained = []
+        monkeypatch.setattr(tracker, "train", lambda corpus, config: trained.append(config.delta))
+        with pytest.raises(ValueError, match=r"^delta=1 method=const: delta must lie in \(0, 1\)"):
+            sweep(handtrace_corpus, CONST, [0.1, 0.2, 1.0])
+        assert trained == []
+
     def test_empty_grid_rejected(self, handtrace_corpus):
         with pytest.raises(ValueError):
             sweep(handtrace_corpus, CONST, [])
@@ -508,3 +515,9 @@ class TestSweep:
         for bounds in ((0.1, 0.3, math.nan), (0.1, math.inf, 0.1), (math.nan, 0.3, 0.1)):
             with pytest.raises(ValueError, match="finite"):
                 delta_grid(*bounds)
+        assert len(delta_grid(0.0, 9999.0, 1.0)) == 10_000
+        with pytest.raises(ValueError, match="more than 10000 points"):
+            delta_grid(0.0, 10_000.0, 1.0)
+        # start + i * step stays at start, so an unbounded grid would never end.
+        with pytest.raises(ValueError, match="more than 10000 points"):
+            delta_grid(0.025, 0.475, 1e-300)
