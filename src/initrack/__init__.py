@@ -11,7 +11,6 @@ from .evidence import (
     TotalConflictError,
     bayesian,
     combine,
-    combine_all,
     predicted_holder,
     vacuous,
 )
@@ -29,12 +28,12 @@ from .cues import (
     format_model,
     init_model,
     load_model,
-    lookup,
     parse_cue,
     parse_model,
     save_model,
 )
 from .corpus import (
+    REPLICA_PATH,
     Corpus,
     CorpusFormatError,
     Dialogue,
@@ -42,14 +41,12 @@ from .corpus import (
     GeneratorConfig,
     GeneratorConfigError,
     Turn,
-    agent_of,
     distribution_report,
     format_corpus,
     gen_synthetic,
     load_corpus,
     parse_corpus,
     partition_by_pair,
-    role_of,
     save_corpus,
 )
 from .tracker import (
@@ -63,11 +60,9 @@ from .tracker import (
     adjust_bpa,
     credit_counters,
     default_delta_grid,
-    default_state,
     delta_grid,
     reset_current,
     step_predict,
-    swap_frame,
     sweep,
     sweep_csv,
     track,
@@ -94,7 +89,6 @@ from .evalstats import (
     kappa,
     paired_outcomes,
 )
-from . import datasets
 
 __version__ = "0.1.0"
 

@@ -12,11 +12,13 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .corpus import (
+    Corpus,
     GeneratorConfig,
     distribution_report,
     format_corpus,
     gen_synthetic,
     load_corpus,
+    partition_by_pair,
 )
 from .cues import load_model, parse_cue, save_model
 from .evalstats import (
@@ -72,7 +74,7 @@ def _parse_bool(value: str) -> bool:
 
 
 def _add_tracker_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--delta", type=float, default=0.35, help="adjustment increment (default 0.35)")
+    parser.add_argument("--delta", type=float, default=TrackerConfig.delta, help="adjustment increment (default %(default)s)")
     _add_method_flags(parser)
 
 
@@ -80,15 +82,15 @@ def _add_method_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--method",
         choices=[m.value for m in AdjustmentMethod],
-        default=AdjustmentMethod.CONSTANT_INCREMENT_WITH_COUNTER.value,
-        help="bpa adjustment method (default const-counter)",
+        default=TrackerConfig.method.value,
+        help="bpa adjustment method (default %(default)s)",
     )
     _add_index_flags(parser)
 
 
 def _add_index_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--default-x", type=float, default=0.5, help="default speaker mass of the initiative indices")
-    parser.add_argument("--reset-strength", type=float, default=0.75, help="index mass put on the actual holder after an error")
+    parser.add_argument("--default-x", type=float, default=TrackerConfig.default_x, help="default speaker mass of the initiative indices")
+    parser.add_argument("--reset-strength", type=float, default=TrackerConfig.reset_strength, help="index mass put on the actual holder after an error")
 
 
 def _tracker_config(args: argparse.Namespace) -> TrackerConfig:
@@ -228,6 +230,15 @@ def _accuracy_lines(label_results: list[tuple[str, RunResult]], fmt: str) -> str
     return "\n".join(lines) + "\n"
 
 
+def _require_points(corpus: Corpus, path: Path) -> Corpus:
+    """`corpus`, read from `path`; tracking one with no prediction point is a degenerate run."""
+    if not any(len(d.turns) > 1 for d in corpus.dialogues):
+        raise DegenerateStatisticError(
+            f"corpus {corpus.name!r} ({path}) has no prediction point: no dialogue has two turns"
+        )
+    return corpus
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     sys.stdout.write(f"ok: corpus {corpus.name}: {len(corpus.dialogues)} dialogues, {corpus.turn_count} turns\n")
@@ -259,7 +270,7 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _require_points(load_corpus(args.corpus), args.corpus)
     result = train(corpus, _tracker_config(args))
     if args.model:
         save_model(result.model, args.model)
@@ -269,7 +280,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _require_points(load_corpus(args.corpus), args.corpus)
     model = load_model(args.model)
     result = evaluate(corpus, model, _index_config(args), teacher_forcing=args.teacher_forcing)
     _emit(args, _accuracy_lines([("eval", result)], args.format))
@@ -277,14 +288,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _require_points(load_corpus(args.corpus), args.corpus)
     result = baseline_run(corpus)
     _emit(args, _accuracy_lines([("baseline", result)], args.format))
     return 0
 
 
 def _cmd_xval(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _require_points(load_corpus(args.corpus), args.corpus)
+    for _, held_out in partition_by_pair(corpus):
+        _require_points(held_out, args.corpus)
     xval = cross_validate(corpus, _tracker_config(args), teacher_forcing=args.teacher_forcing)
     if args.format == "csv":
         _emit(args, fold_table_csv(xval))
@@ -296,7 +309,7 @@ def _cmd_xval(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _require_points(load_corpus(args.corpus), args.corpus)
     rows = sweep(
         corpus,
         AdjustmentMethod(args.method),
@@ -309,7 +322,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_report_errors(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _require_points(load_corpus(args.corpus), args.corpus)
     model = load_model(args.model)
     run = evaluate(corpus, model, _index_config(args), teacher_forcing=args.teacher_forcing)
     report = error_report(run, corpus)
@@ -322,7 +335,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = _index_config(args)
     rows = []
     for path in args.corpus:
-        corpus = load_corpus(path)
+        corpus = _require_points(load_corpus(path), path)
         if not any(args.focus_agent in d.agents for d in corpus.dialogues):
             raise ValueError(f"agent {args.focus_agent!r} takes part in no dialogue of corpus {corpus.name!r} ({path})")
         expert_ti = sum(t.ti_holder == args.focus_agent for d in corpus.dialogues for t in d.turns)

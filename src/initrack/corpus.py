@@ -104,20 +104,6 @@ class Corpus:
         return sum(len(d.turns) for d in self.dialogues)
 
 
-def role_of(agent: str, turn: Turn) -> Role:
-    """The role a given agent plays during a turn."""
-    if agent == turn.speaker:
-        return Role.SPEAKER
-    if agent == turn.hearer:
-        return Role.HEARER
-    raise ValueError(f"agent {agent!r} does not take part in this turn")
-
-
-def agent_of(role: Role, turn: Turn) -> str:
-    """The agent playing a given role during a turn; inverse of role_of."""
-    return turn.speaker if role is Role.SPEAKER else turn.hearer
-
-
 # ---------------------------------------------------------------------------
 # Corpus file format
 #
@@ -284,6 +270,12 @@ def load_corpus(path: str | Path) -> Corpus:
             fh.seek(0)
             fh.read()  # raises the decoding error of the whole file, if there is one
             raise
+
+
+# The bundled replica: the original annotated dialogues are not redistributable, so it
+# reproduces their published joint task/dialogue initiative distribution for the system
+# agent (cells 37 / 274 / 4 / 727 over 1042 turns) without any utterance content.
+REPLICA_PATH = Path(__file__).parent / "data" / "replica_trains91.dti"
 
 
 def _check_token(what: str, token: str, forbidden: str = "") -> None:

@@ -120,16 +120,10 @@ _SPECS: tuple[CueSpec, ...] = (
     CueSpec(CueKind.AMBIGUITY_BELIEF, CueClass.ANALYTICAL, _DI, Role.HEARER),
 )
 
-_SPEC_BY_KIND = {spec.kind: spec for spec in _SPECS}
-
 
 def canonical_specs() -> tuple[CueSpec, ...]:
     """All 14 cue specs in canonical (taxonomy table) order."""
     return _SPECS
-
-
-def lookup(kind: CueKind) -> CueSpec:
-    return _SPEC_BY_KIND[kind]
 
 
 _KIND_BY_TOKEN = {kind.value: kind for kind in CueKind}

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from typing import Iterable
 
 SUM_TOLERANCE = 1e-9
 
@@ -24,9 +22,6 @@ class TotalConflictError(ValueError):
 class Role(Enum):
     SPEAKER = "speaker"
     HEARER = "hearer"
-
-    def other(self) -> "Role":
-        return Role.HEARER if self is Role.SPEAKER else Role.SPEAKER
 
     def __str__(self) -> str:
         return self.value
@@ -83,14 +78,6 @@ def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     hearer = (m1.hearer * m2.hearer + m1.hearer * m2.theta + m1.theta * m2.hearer) / norm
     theta = (m1.theta * m2.theta) / norm
     return MassFunction(speaker, hearer, theta)
-
-
-def combine_all(ms: Iterable[MassFunction]) -> MassFunction:
-    """Left-to-right fold of `combine`; a singleton input is returned unchanged."""
-    items = list(ms)
-    if not items:
-        raise ValueError("combine_all requires at least one mass function")
-    return reduce(combine, items)
 
 
 def predicted_holder(m: MassFunction) -> Role:

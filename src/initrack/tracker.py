@@ -71,10 +71,6 @@ class TrackerState:
     m_d_cur: MassFunction
 
 
-def default_state(config: TrackerConfig) -> TrackerState:
-    return TrackerState(bayesian(config.default_x), bayesian(config.default_x))
-
-
 @dataclass(frozen=True)
 class StepPrediction:
     m_t_new: MassFunction
@@ -412,11 +408,6 @@ def credit_counters(
 def reset_current(actual: Role, strength: float) -> MassFunction:
     """Re-anchor a current index on the annotated holder after an error."""
     return bayesian(strength) if actual is Role.SPEAKER else bayesian(1.0 - strength)
-
-
-def swap_frame(m: MassFunction) -> MassFunction:
-    """Re-express an index in the next turn's role frame (speakers alternate)."""
-    return MassFunction(m.hearer, m.speaker, m.theta)
 
 
 def run_dialogue(

@@ -8,9 +8,8 @@ bounds runtime, including the wall-clock time of this whole module.
 import random
 import time
 
-from initrack.corpus import GeneratorConfig, distribution_report, gen_synthetic
+from initrack.corpus import REPLICA_PATH, GeneratorConfig, distribution_report, gen_synthetic, load_corpus
 from initrack.cues import CueKind, format_model, save_model
-from initrack.datasets import load_replica
 from initrack.evalstats import baseline_run, cochran_q, cross_validate, kappa
 from initrack.evidence import MassFunction, Role, bayesian, combine, vacuous
 from initrack.tracker import AdjustmentMethod, TrackerConfig, sweep, train
@@ -76,7 +75,7 @@ def test_criterion_01_dempster_oracle():
 
 
 def test_criterion_02_distribution_report():
-    corpus = load_replica()
+    corpus = load_corpus(REPLICA_PATH)
     report = distribution_report(corpus, "system")
     expected_cells = (37, 274, 4, 727)
     expected_pct = (3.5, 26.3, 0.4, 69.8)
@@ -259,7 +258,7 @@ def test_criterion_09_cochran_q():
 
 
 def test_criterion_10_determinism_and_speed(tmp_path):
-    replica = load_replica()
+    replica = load_corpus(REPLICA_PATH)
     assert replica.turn_count == 1042
     config = TrackerConfig()
 

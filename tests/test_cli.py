@@ -1,8 +1,15 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import initrack
 from initrack.cli import main
 from initrack.corpus import GeneratorConfig, gen_synthetic, save_corpus
-from initrack.cues import CueKind
+from initrack.cues import CueKind, init_model, save_model
 
 GOOD = """\
 corpus demo
@@ -13,6 +20,17 @@ end
 """
 
 BAD = GOOD.replace("cues=no_new_info:prompt", "cues=promptz")
+
+# Corpora the parser accepts but on which no prediction is made: no dialogue
+# at all, and dialogues of one turn each.
+NO_POINT_CORPORA = {
+    "no-dialogue": "corpus x\n",
+    "one-turn": (
+        "corpus x\n"
+        "dialogue d1 agents=a,b\nturn speaker=a ti=a di=a cues=-\nend\n"
+        "dialogue d2 agents=c,d\nturn speaker=c ti=c di=c cues=-\nend\n"
+    ),
+}
 
 SUBCOMMANDS = [
     "validate",
@@ -308,6 +326,52 @@ class TestReports:
         assert out_path.read_text().startswith("delta,")
 
 
+class TestNoPredictionPoint:
+    @pytest.mark.parametrize("corpus_text", NO_POINT_CORPORA.values(), ids=NO_POINT_CORPORA.keys())
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["train", "--model", "{out}"],
+            ["eval", "--model", "{model}"],
+            ["baseline"],
+            ["xval"],
+            ["sweep"],
+            ["sweep", "--xval"],
+            ["report-errors", "--model", "{model}"],
+            ["compare", "--model", "{model}", "--focus-agent", "a"],
+        ],
+        ids=["train", "eval", "baseline", "xval", "sweep", "sweep-xval", "report-errors", "compare"],
+    )
+    def test_exit_3(self, command, corpus_text, tmp_path, capsys):
+        corpus_path = tmp_path / "c.dti"
+        corpus_path.write_text(corpus_text, encoding="utf-8")
+        model_path, out_path = tmp_path / "m.model", tmp_path / "trained.model"
+        save_model(init_model(), model_path)
+        argv = [arg.format(model=model_path, out=out_path) for arg in command]
+        assert main([*argv, "--corpus", str(corpus_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: corpus 'x' ({corpus_path}) has no prediction point: no dialogue has two turns\n"
+        )
+        assert not out_path.exists()
+
+    def test_xval_held_out_pair_without_point_exit_3(self, tmp_path, capsys):
+        corpus_path = tmp_path / "c.dti"
+        corpus_path.write_text(
+            "corpus x\n"
+            "dialogue d1 agents=a,b\nturn speaker=a ti=a di=a cues=-\nturn speaker=b ti=a di=b cues=-\nend\n"
+            "dialogue d2 agents=c,d\nturn speaker=c ti=c di=c cues=-\nend\n",
+            encoding="utf-8",
+        )
+        assert main(["xval", "--corpus", str(corpus_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: corpus 'x[c,d]' ({corpus_path}) has no prediction point: no dialogue has two turns\n"
+        )
+
+
 class TestStatistics:
     def test_kappa_file(self, tmp_path, capsys):
         path = tmp_path / "ratings.txt"
@@ -389,3 +453,27 @@ class TestGenSynthetic:
         assert main(["gen-synthetic", "--name", name, "--out", str(out_path)]) == 2
         assert repr(name) in capsys.readouterr().err
         assert not out_path.exists()
+
+
+def test_cli_import_loads_no_importlib_resources():
+    src = str(Path(initrack.__file__).resolve().parent.parent)
+    code = "import initrack.cli, sys; print('importlib.resources' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
+
+
+def test_validate_replica_from_a_copied_package(tmp_path):
+    package = Path(initrack.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "lib" / "initrack", ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "lib")}
+
+    def run(*args: str) -> str:
+        return subprocess.run(
+            [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
+        ).stdout
+
+    replica = run("-c", "from initrack import REPLICA_PATH; print(REPLICA_PATH)").strip()
+    assert Path(replica).is_relative_to(tmp_path / "lib" / "initrack")
+    out = run("-m", "initrack.cli", "validate", "--corpus", replica)
+    assert out == "ok: corpus replica_trains91: 8 dialogues, 1042 turns\n"

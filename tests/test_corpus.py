@@ -11,13 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from initrack.corpus import (
+    REPLICA_PATH,
     Corpus,
     CorpusFormatError,
     Dialogue,
     GeneratorConfig,
     GeneratorConfigError,
     Turn,
-    agent_of,
     distribution_report,
     format_corpus,
     gen_synthetic,
@@ -25,11 +25,8 @@ from initrack.corpus import (
     load_corpus,
     parse_corpus,
     partition_by_pair,
-    role_of,
 )
 from initrack.cues import CueKind
-from initrack.datasets import load_replica
-from initrack.evidence import Role
 
 from conftest import generator_configs, make_corpus, make_dialogue, plain_to_corpus, synthetic_corpora
 from oracles import synthetic_dialogues
@@ -239,7 +236,7 @@ class TestFirstSeenLines:
     @settings(max_examples=50, deadline=None)
     @given(synthetic_corpora())
     def test_turns_hold_their_dialogues_agents(self, corpus):
-        for parsed in (parse_corpus(format_corpus(corpus)), load_replica()):
+        for parsed in (parse_corpus(format_corpus(corpus)), load_corpus(REPLICA_PATH)):
             pair_agents = {}
             for d in parsed.dialogues:
                 assert pair_agents.setdefault(d.agents, d.agents) is d.agents  # one tuple per pair
@@ -320,25 +317,9 @@ class TestLoading:
         assert peak < len(text) // 2
 
 
-class TestRoles:
-    def test_role_of_and_inverse(self):
-        turn = Turn("manager", "system", "manager", "manager", ())
-        assert role_of("manager", turn) is Role.SPEAKER
-        assert role_of("system", turn) is Role.HEARER
-        assert agent_of(Role.HEARER, turn) == "system"
-        assert agent_of(Role.SPEAKER, turn) == "manager"
-        for role in Role:
-            assert role_of(agent_of(role, turn), turn) is role
-
-    def test_foreign_agent(self):
-        turn = Turn("a", "b", "a", "a", ())
-        with pytest.raises(ValueError):
-            role_of("c", turn)
-
-
 class TestDistribution:
     def test_replica_cells(self):
-        corpus = load_replica()
+        corpus = load_corpus(REPLICA_PATH)
         report = distribution_report(corpus, "system")
         assert report.cells() == (37, 274, 4, 727)
         assert report.total == 1042
@@ -358,7 +339,7 @@ class TestDistribution:
         assert report.percentages() == (25.0, 25.0, 25.0, 25.0)
 
     def test_counts_sum_to_total(self):
-        corpus = load_replica()
+        corpus = load_corpus(REPLICA_PATH)
         report = distribution_report(corpus, "manager")
         assert sum(report.cells()) == corpus.turn_count
 

@@ -15,7 +15,6 @@ from initrack.cues import (
     format_model,
     init_model,
     load_model,
-    lookup,
     parse_cue,
     parse_model,
     save_model,
@@ -57,10 +56,11 @@ class TestTaxonomy:
             assert spec.expected_holder is Role(holder)
 
     def test_lookup_examples(self):
-        spec = lookup(CueKind.QUESTION_DOMAIN)
+        specs = {spec.kind: spec for spec in canonical_specs()}
+        spec = specs[CueKind.QUESTION_DOMAIN]
         assert spec.effect is CueEffect.DIALOGUE_ONLY
         assert spec.expected_holder is Role.SPEAKER
-        spec = lookup(CueKind.INVALIDITY_ACTION)
+        spec = specs[CueKind.INVALIDITY_ACTION]
         assert spec.effect is CueEffect.BOTH
         assert spec.expected_holder is Role.HEARER
 

@@ -10,7 +10,6 @@ from initrack.evidence import (
     TotalConflictError,
     bayesian,
     combine,
-    combine_all,
     predicted_holder,
     vacuous,
 )
@@ -58,10 +57,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MassFunction(-0.1, 0.6, 0.5)
 
-    def test_role_other(self):
-        assert Role.SPEAKER.other() is Role.HEARER
-        assert Role.HEARER.other() is Role.SPEAKER
-
 
 class TestCombine:
     def test_derived_pair(self):
@@ -84,21 +79,11 @@ class TestCombine:
         assert out.speaker == pytest.approx(m.speaker, abs=1e-12)
         assert out.hearer == pytest.approx(m.hearer, abs=1e-12)
         assert out.theta == pytest.approx(m.theta, abs=1e-12)
+        assert combine(vacuous(), vacuous()) == vacuous()
 
     def test_total_conflict(self):
         with pytest.raises(TotalConflictError):
             combine(MassFunction(1.0, 0.0, 0.0), MassFunction(0.0, 1.0, 0.0))
-
-    def test_combine_all(self):
-        m = MassFunction(0.2, 0.3, 0.5)
-        assert combine_all([m]) == m
-        folded = combine_all([bayesian(0.5), MassFunction(0.0, 0.35, 0.65)])
-        assert folded == combine(bayesian(0.5), MassFunction(0.0, 0.35, 0.65))
-        assert combine_all([vacuous(), vacuous(), vacuous()]) == vacuous()
-
-    def test_combine_all_empty(self):
-        with pytest.raises(ValueError):
-            combine_all([])
 
 
 class TestPredictedHolder:

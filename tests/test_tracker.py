@@ -17,11 +17,9 @@ from initrack.tracker import (
     adjust_bpa,
     credit_counters,
     default_delta_grid,
-    default_state,
     delta_grid,
     reset_current,
     step_predict,
-    swap_frame,
     sweep,
     sweep_csv,
     train,
@@ -65,7 +63,7 @@ class TestConfig:
 
 class TestStepPredict:
     def test_no_cues_tie(self):
-        state = default_state(TrackerConfig())
+        state = TrackerState(bayesian(0.5), bayesian(0.5))
         pred = step_predict(state, [], init_model())
         assert pred.m_t_new == bayesian(0.5)
         assert pred.m_d_new == bayesian(0.5)
@@ -75,7 +73,7 @@ class TestStepPredict:
     def test_learned_prompt_bpa(self):
         model = init_model()
         model.params[CueKind.NO_NEW_INFO_PROMPT].dialogue_bpa = MassFunction(0.0, 0.35, 0.65)
-        state = default_state(TrackerConfig())
+        state = TrackerState(bayesian(0.5), bayesian(0.5))
         pred = step_predict(state, [CueKind.NO_NEW_INFO_PROMPT], model)
         assert pred.m_d_new.speaker == pytest.approx(13 / 33, abs=1e-12)
         assert pred.m_d_new.hearer == pytest.approx(20 / 33, abs=1e-12)
@@ -224,12 +222,6 @@ class TestResetAndSwap:
         assert reset_current(Role.HEARER, 0.75) == MassFunction(0.25, 0.75, 0.0)
         assert reset_current(Role.SPEAKER, 0.75) == MassFunction(0.75, 0.25, 0.0)
         assert reset_current(Role.SPEAKER, 0.5) == bayesian(0.5)
-
-    def test_swap(self):
-        assert swap_frame(MassFunction(0.39, 0.61, 0.0)) == MassFunction(0.61, 0.39, 0.0)
-        m = MassFunction(0.2, 0.3, 0.5)
-        assert swap_frame(swap_frame(m)) == m
-        assert swap_frame(vacuous()) == vacuous()
 
 
 class TestTrain:
