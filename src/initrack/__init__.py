@@ -50,6 +50,7 @@ from .corpus import (
     save_corpus,
 )
 from .tracker import (
+    DEFAULT_GRID,
     AdjustmentMethod,
     StepPrediction,
     SweepRow,
@@ -59,9 +60,7 @@ from .tracker import (
     TurnRecord,
     adjust_bpa,
     credit_counters,
-    default_delta_grid,
     delta_grid,
-    reset_current,
     step_predict,
     sweep,
     sweep_csv,

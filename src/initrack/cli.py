@@ -37,7 +37,7 @@ from .evalstats import (
     fold_table_csv,
     kappa,
 )
-from .tracker import AdjustmentMethod, TrackerConfig, delta_grid, sweep, sweep_csv, train
+from .tracker import DEFAULT_GRID, AdjustmentMethod, TrackerConfig, delta_grid, sweep, sweep_csv, train
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
@@ -93,18 +93,14 @@ def _add_index_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--reset-strength", type=float, default=TrackerConfig.reset_strength, help="index mass put on the actual holder after an error")
 
 
-def _tracker_config(args: argparse.Namespace) -> TrackerConfig:
+def _config(args: argparse.Namespace) -> TrackerConfig:
+    """The run's settings; a command without --delta or --method gets `TrackerConfig`'s."""
     return TrackerConfig(
-        delta=args.delta,
-        method=AdjustmentMethod(args.method),
+        delta=getattr(args, "delta", TrackerConfig.delta),
+        method=AdjustmentMethod(getattr(args, "method", TrackerConfig.method.value)),
         default_x=args.default_x,
         reset_strength=args.reset_strength,
     )
-
-
-def _index_config(args: argparse.Namespace) -> TrackerConfig:
-    """The index settings alone; delta and method are left at their defaults."""
-    return TrackerConfig(default_x=args.default_x, reset_strength=args.reset_strength)
 
 
 def _add_common_output(parser: argparse.ArgumentParser) -> None:
@@ -155,9 +151,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="accuracy table over a grid of delta values")
     p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--sweep-from", type=float, default=0.025)
-    p.add_argument("--sweep-to", type=float, default=0.475)
-    p.add_argument("--sweep-step", type=float, default=0.025)
+    for flag, default in zip(("--sweep-from", "--sweep-to", "--sweep-step"), DEFAULT_GRID):
+        p.add_argument(flag, type=float, default=default)
     p.add_argument("--xval", action="store_true", help="score each delta by cross-validation")
     _add_method_flags(p)
     _add_common_output(p)
@@ -192,14 +187,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen-synthetic", help="generate a seeded synthetic corpus")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--name", default="synthetic")
-    p.add_argument("--dialogues", type=int, default=8)
-    p.add_argument("--turns", type=int, default=20)
-    p.add_argument("--pairs", type=int, default=1)
+    p.add_argument("--name", default=GeneratorConfig.name)
+    p.add_argument("--dialogues", type=int, default=GeneratorConfig.dialogues)
+    p.add_argument("--turns", type=int, default=GeneratorConfig.turns_per_dialogue)
+    p.add_argument("--pairs", type=int, default=GeneratorConfig.pairs)
     p.add_argument("--cue-emit", action="append", default=[], metavar="KIND=P", help="repeatable")
     p.add_argument("--cue-shift", action="append", default=[], metavar="KIND=P", help="repeatable")
-    p.add_argument("--base-shift-task", type=float, default=0.0)
-    p.add_argument("--base-shift-dialogue", type=float, default=0.0)
+    p.add_argument("--base-shift-task", type=float, default=GeneratorConfig.base_shift_task)
+    p.add_argument("--base-shift-dialogue", type=float, default=GeneratorConfig.base_shift_dialogue)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_gen_synthetic)
 
@@ -271,7 +266,7 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     corpus = _require_points(load_corpus(args.corpus), args.corpus)
-    result = train(corpus, _tracker_config(args))
+    result = train(corpus, _config(args))
     if args.model:
         save_model(result.model, args.model)
         print(f"wrote model to {args.model}", file=sys.stderr)
@@ -282,7 +277,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     corpus = _require_points(load_corpus(args.corpus), args.corpus)
     model = load_model(args.model)
-    result = evaluate(corpus, model, _index_config(args), teacher_forcing=args.teacher_forcing)
+    result = evaluate(corpus, model, _config(args), teacher_forcing=args.teacher_forcing)
     _emit(args, _accuracy_lines([("eval", result)], args.format))
     return 0
 
@@ -298,7 +293,7 @@ def _cmd_xval(args: argparse.Namespace) -> int:
     corpus = _require_points(load_corpus(args.corpus), args.corpus)
     for _, held_out in partition_by_pair(corpus):
         _require_points(held_out, args.corpus)
-    xval = cross_validate(corpus, _tracker_config(args), teacher_forcing=args.teacher_forcing)
+    xval = cross_validate(corpus, _config(args), teacher_forcing=args.teacher_forcing)
     if args.format == "csv":
         _emit(args, fold_table_csv(xval))
     else:
@@ -310,13 +305,8 @@ def _cmd_xval(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     corpus = _require_points(load_corpus(args.corpus), args.corpus)
-    rows = sweep(
-        corpus,
-        AdjustmentMethod(args.method),
-        delta_grid(args.sweep_from, args.sweep_to, args.sweep_step),
-        base_config=_index_config(args),
-        cross_validated=args.xval,
-    )
+    grid = delta_grid(args.sweep_from, args.sweep_to, args.sweep_step)
+    rows = sweep(corpus, _config(args), grid, cross_validated=args.xval)
     _emit(args, sweep_csv(rows))
     return 0
 
@@ -324,7 +314,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_report_errors(args: argparse.Namespace) -> int:
     corpus = _require_points(load_corpus(args.corpus), args.corpus)
     model = load_model(args.model)
-    run = evaluate(corpus, model, _index_config(args), teacher_forcing=args.teacher_forcing)
+    run = evaluate(corpus, model, _config(args), teacher_forcing=args.teacher_forcing)
     report = error_report(run, corpus)
     _emit(args, error_report_csv(report) if args.format == "csv" else error_report_text(report))
     return 0
@@ -332,7 +322,7 @@ def _cmd_report_errors(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    config = _index_config(args)
+    config = _config(args)
     rows = []
     for path in args.corpus:
         corpus = _require_points(load_corpus(path), path)

@@ -352,12 +352,7 @@ class DistributionReport:
 
     @property
     def total(self) -> int:
-        return (
-            self.ti_focus_di_focus
-            + self.ti_other_di_focus
-            + self.ti_focus_di_other
-            + self.ti_other_di_other
-        )
+        return sum(self.cells())
 
     def cells(self) -> tuple[int, int, int, int]:
         return (

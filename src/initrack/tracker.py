@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 from .corpus import Corpus, Dialogue
 from .cues import TABLE_INDEX, CueKind, CueModel, Dimension, init_model
-from .evidence import SUM_TOLERANCE, MassFunction, Role, bayesian, combine, predicted_holder
+from .evidence import SUM_TOLERANCE, MassFunction, Role, combine, predicted_holder
 
 
 class AdjustmentMethod(Enum):
@@ -310,14 +310,14 @@ def track(
     tables, counters = model.masses, model.counters
     counting = learn and config.method is not AdjustmentMethod.CONSTANT_INCREMENT
     slots_of: dict[tuple[CueKind, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    index0 = bayesian(config.default_x)
-    to_speaker = reset_current(Role.SPEAKER, config.reset_strength)
-    to_hearer = reset_current(Role.HEARER, config.reset_strength)
-    reset_s = (to_speaker.speaker, to_speaker.hearer, to_speaker.theta)
-    reset_h = (to_hearer.speaker, to_hearer.hearer, to_hearer.theta)
+    # The start index and the resets onto the speaker and the hearer, as
+    # `bayesian(x)`, `bayesian(r)` and `bayesian(1 - r)` give them: the hearer
+    # reset keeps 1 - (1 - r), which is not always r.
+    x, r = config.default_x, config.reset_strength
+    index0, reset_s, reset_h = (x, 1.0 - x, 0.0), (r, 1.0 - r, 0.0), (1.0 - r, 1.0 - (1.0 - r), 0.0)
     ti_ok, di_ok, ti_speaker, di_speaker = bytearray(), bytearray(), bytearray(), bytearray()
     for dialogue in dialogues:
-        ts, th, tt = ds, dh, dt = index0.speaker, index0.hearer, index0.theta
+        ts, th, tt = ds, dh, dt = index0
         turns = dialogue.turns
         for turn, nxt in zip(turns, islice(turns, 1, None)):
             cues = turn.cues
@@ -405,11 +405,6 @@ def credit_counters(
     _credit(model.counters, _cue_slots(cues)[0 if dimension is Dimension.TASK else 1])
 
 
-def reset_current(actual: Role, strength: float) -> MassFunction:
-    """Re-anchor a current index on the annotated holder after an error."""
-    return bayesian(strength) if actual is Role.SPEAKER else bayesian(1.0 - strength)
-
-
 def run_dialogue(
     dialogue: Dialogue,
     model: CueModel,
@@ -453,6 +448,8 @@ def train(corpus: Corpus, config: TrackerConfig, model: CueModel | None = None) 
 
 
 MAX_GRID_POINTS = 10_000
+# The standard sweep grid as delta_grid arguments (start, stop, step): 19 deltas.
+DEFAULT_GRID = (0.025, 0.475, 0.025)
 
 
 def delta_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -470,11 +467,6 @@ def delta_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(grid)
 
 
-def default_delta_grid() -> tuple[float, ...]:
-    """The standard 19-point sweep grid: 0.025 + 0.025 * i for i in 0..18."""
-    return delta_grid(0.025, 0.475, 0.025)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     delta: float
@@ -484,40 +476,40 @@ class SweepRow:
 
 def sweep(
     corpus: Corpus,
-    method: AdjustmentMethod,
+    config: TrackerConfig,
     deltas: Sequence[float] | None = None,
     *,
-    base_config: TrackerConfig | None = None,
     cross_validated: bool = False,
 ) -> list[SweepRow]:
-    """One independent run per delta, rows in ascending delta order.
+    """One independent run of `config` per delta, rows in ascending delta order.
 
-    With cross_validated=True each row reports leave-one-pair-out accuracy
-    instead of the training-pass accuracy.  Every delta's config is built
-    before the first run, so a bad delta fails before any training.  A failing
-    config or run aborts the sweep; its error names the delta and the method.
+    Each row runs `config` with its delta replaced; `deltas` defaults to
+    `delta_grid(*DEFAULT_GRID)`.  With cross_validated=True each row reports
+    leave-one-pair-out accuracy instead of the training-pass accuracy.  Every
+    delta's config is built before the first run, so a bad delta fails before
+    any training.  A failing config or run aborts the sweep; its error names
+    the delta and the method.
     """
     if deltas is None:
-        deltas = default_delta_grid()
+        deltas = delta_grid(*DEFAULT_GRID)
     if not deltas:
         raise ValueError("sweep requires at least one delta")
-    base = base_config if base_config is not None else TrackerConfig()
     configs, rows = [], []
     try:
         for delta in sorted(deltas):
             # Built here, not by dataclasses.replace, so a warning names this file.
-            configs.append(TrackerConfig(delta=delta, method=method, default_x=base.default_x, reset_strength=base.reset_strength))
-        for config in configs:
-            delta = config.delta
+            configs.append(TrackerConfig(delta=delta, method=config.method, default_x=config.default_x, reset_strength=config.reset_strength))
+        for run_config in configs:
+            delta = run_config.delta
             if cross_validated:
                 from .evalstats import cross_validate
 
-                result = cross_validate(corpus, config).aggregate
+                result = cross_validate(corpus, run_config).aggregate
             else:
-                result = train(corpus, config).run
+                result = train(corpus, run_config).run
             rows.append(SweepRow(delta, result.task_accuracy, result.dialogue_accuracy))
     except ValueError as exc:
-        exc.args = (f"delta={delta:g} method={method}: {exc}",)
+        exc.args = (f"delta={delta:g} method={config.method}: {exc}",)
         raise
     return rows
 

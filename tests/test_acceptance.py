@@ -184,7 +184,7 @@ def test_criterion_05_counter_semantics():
 
 
 def test_criterion_06_sweep_shape(handtrace_corpus):
-    rows = sweep(handtrace_corpus, AdjustmentMethod.CONSTANT_INCREMENT)
+    rows = sweep(handtrace_corpus, TrackerConfig(method=AdjustmentMethod.CONSTANT_INCREMENT))
     ok = len(rows) == 19 and all(
         abs(row.delta - (0.025 + 0.025 * i)) <= 1e-12 for i, row in enumerate(rows)
     )

@@ -1,15 +1,21 @@
+import io
 import os
+import re
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, note, settings, strategies as st
 
 import initrack
 from initrack.cli import main
-from initrack.corpus import GeneratorConfig, gen_synthetic, save_corpus
+from initrack.corpus import GeneratorConfig, format_corpus, gen_synthetic, load_corpus, save_corpus
 from initrack.cues import CueKind, init_model, save_model
+from initrack.evidence import MassFunction
+from initrack.tracker import AdjustmentMethod, TrackerConfig, sweep, sweep_csv
 
 GOOD = """\
 corpus demo
@@ -20,6 +26,11 @@ end
 """
 
 BAD = GOOD.replace("cues=no_new_info:prompt", "cues=promptz")
+
+# The README quick-start corpus (200 turns): const training on it meets
+# total conflict.
+README_GEN = ["gen-synthetic", "--seed", "7", "--dialogues", "8", "--turns", "25", "--pairs", "4",
+              "--cue-emit", "no_new_info:prompt=0.35", "--cue-shift", "no_new_info:prompt=0.9"]
 
 # Corpora the parser accepts but on which no prediction is made: no dialogue
 # at all, and dialogues of one turn each.
@@ -223,11 +234,9 @@ class TestReports:
         assert len(lines) == 4
 
     def test_sweep_failure_names_delta_and_method(self, tmp_path, capsys):
-        # The README quick-start corpus: const training breaks down at 0.1.
+        # const training on the README corpus breaks down at 0.1.
         demo = tmp_path / "demo.dti"
-        gen = ["gen-synthetic", "--seed", "7", "--dialogues", "8", "--turns", "25", "--pairs", "4",
-               "--cue-emit", "no_new_info:prompt=0.35", "--cue-shift", "no_new_info:prompt=0.9"]
-        assert main([*gen, "--out", str(demo)]) == 0
+        assert main([*README_GEN, "--out", str(demo)]) == 0
         capsys.readouterr()
         assert main(["sweep", "--corpus", str(demo), "--method", "const"]) == 2
         captured = capsys.readouterr()
@@ -261,6 +270,16 @@ class TestReports:
     def test_sweep_empty_grid_exit_2(self, good_corpus, capsys):
         assert main(["sweep", "--corpus", str(good_corpus), "--sweep-from", "0.3", "--sweep-to", "0.1"]) == 2
         assert capsys.readouterr().err == "error: sweep requires at least one delta\n"
+
+    def test_sweep_runs_the_library_config(self, tmp_path, capsys):
+        demo = tmp_path / "demo.dti"
+        assert main([*README_GEN, "--out", str(demo)]) == 0
+        argv = ["sweep", "--corpus", str(demo), "--xval", "--method", "var-counter",
+                "--default-x", "0.7", "--reset-strength", "0.6"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        config = TrackerConfig(method=AdjustmentMethod.VARIABLE_INCREMENT_WITH_COUNTER, default_x=0.7, reset_strength=0.6)
+        assert capsys.readouterr().out == sweep_csv(sweep(load_corpus(demo), config, cross_validated=True))
 
     def test_report_errors(self, synth_corpus, tmp_path, capsys):
         model_path = tmp_path / "m.model"
@@ -441,6 +460,10 @@ class TestGenSynthetic:
         assert main(["gen-synthetic", "--seed", "1", "--out", str(out_path)]) == 0
         assert main(["validate", "--corpus", str(out_path)]) == 0
 
+    def test_defaults_are_the_library_defaults(self, capsys):
+        assert main(["gen-synthetic", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == format_corpus(gen_synthetic(GeneratorConfig(), 0))
+
     def test_bad_cue_kind(self, capsys):
         assert main(["gen-synthetic", "--cue-emit", "nope=0.5"]) == 2
 
@@ -477,3 +500,132 @@ def test_validate_replica_from_a_copied_package(tmp_path):
     assert Path(replica).is_relative_to(tmp_path / "lib" / "initrack")
     out = run("-m", "initrack.cli", "validate", "--corpus", replica)
     assert out == "ok: corpus replica_trains91: 8 dialogues, 1042 turns\n"
+
+
+# ---------------------------------------------------------------------------
+# One property over the whole CLI: every accepted or rejected input ends in a
+# named exit code.
+
+
+def _values(typical, odd):
+    """Flag values, half of them typical and half boundary or malformed."""
+    return st.sampled_from(typical) | st.sampled_from(odd)
+
+
+_FLOATS = _values(["0.025", "0.1", "0.35", "0.75"], ["nan", "inf", "-inf", "0", "1", "-1", "1e-300", "x"])
+_INTS = _values(["1", "2", "3"], ["0", "-1", "1.5", "x"])
+_FORMATS = _values(["text", "csv"], ["json"])
+_BOOLS = _values(["true", "false"], ["1", "off", "maybe"])
+_CUE_ENTRIES = st.sampled_from(
+    ["end_silence=0.5", "question:domain=1", "no_new_info:prompt=0", "nope=0.5", "end_silence=nan",
+     "end_silence=1.5", "end_silence=-0.1", "end_silence", "=0.5", "end_silence=1e-300"]
+)
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """The directory of small input files that the CLI property draws from."""
+    root = tmp_path_factory.mktemp("cli_property")
+    corpora = {
+        "zero-point": "corpus x\n",
+        "one-pair": format_corpus(gen_synthetic(GeneratorConfig(dialogues=3, turns_per_dialogue=10), 1)),
+        "cue-dense": format_corpus(gen_synthetic(GeneratorConfig(
+            dialogues=4, turns_per_dialogue=15, pairs=2,
+            cue_emit={kind: 0.5 for kind in list(CueKind)[:8]},
+            cue_shift={CueKind.QUESTION_DOMAIN: 0.9, CueKind.END_SILENCE: 0.8},
+        ), 2)),
+        "unknown-cue": BAD,
+    }
+    for name, text in corpora.items():
+        (root / f"{name}.dti").write_text(text, encoding="utf-8")
+    assert main([*README_GEN, "--out", str(root / "saturating.dti")]) == 0
+    save_model(init_model(), root / "vacuous.model")
+    saturated = init_model()
+    saturated.params[CueKind.NO_NEW_INFO_PROMPT].dialogue_bpa = MassFunction(0.0, 1.0, 0.0)
+    save_model(saturated, root / "saturated.model")
+    (root / "broken.model").write_text("not a model\n", encoding="utf-8")
+    for name, text in {
+        "ratings": "x x x\nx x y\n", "ratings-same": "x x\nx x\n", "ratings-ragged": "x x\nx\n",
+        "outcomes": "1 1\n1 0\n0 0\n", "outcomes-same": "1 1\n1 1\n", "outcomes-bad": "1 2\n0 x\n", "empty": "",
+    }.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+def _cli_flags(root: Path) -> dict:
+    """Each subcommand's flags: (flag, value strategy or None for a switch, required)."""
+    corpora = st.sampled_from(sorted(str(p) for p in root.glob("*.dti")) + [str(root / "missing.dti")])
+    models = st.sampled_from([str(root / m) for m in ("vacuous.model", "saturated.model", "broken.model", "none.model")])
+    index = [("--default-x", _FLOATS, False), ("--reset-strength", _FLOATS, False)]
+    method = [("--method", _values(["const", "const-counter", "var-counter"], ["constant"]), False), *index]
+    tracker = [("--delta", _FLOATS, False), *method]
+    output = [("--format", _FORMATS, False), ("--out", st.just(str(root / "out.txt")), False)]
+    focus = ("--focus-agent", st.sampled_from(["a0", "a1", "manager", "nobody"]), True)
+    frozen = [("--corpus", corpora, True), ("--model", models, True), ("--teacher-forcing", _BOOLS, False), *index, *output]
+    return {
+        "validate": [("--corpus", corpora, True)],
+        "distribution": [("--corpus", corpora, True), focus, *output],
+        "train": [("--corpus", corpora, True), ("--model", st.just(str(root / "trained.model")), False), *tracker, *output],
+        "eval": frozen,
+        "baseline": [("--corpus", corpora, True), *output],
+        "xval": [("--corpus", corpora, True), ("--teacher-forcing", _BOOLS, False), *tracker, *output],
+        "sweep": [
+            ("--corpus", corpora, True),
+            ("--sweep-from", _values(["0.025", "0.1"], ["0", "1e-300", "nan", "-inf"]), False),
+            ("--sweep-to", _values(["0.2", "0.475"], ["1", "inf", "x"]), False),
+            ("--sweep-step", _values(["0.025", "0.1"], ["0.5", "0", "-0.1", "1e-300", "nan"]), False),
+            ("--xval", None, False),
+            *method,
+            *output,
+        ],
+        "report-errors": frozen,
+        "compare": [*frozen, ("--corpus", corpora, False), focus],
+        "kappa": [("--ratings", st.sampled_from([str(root / f) for f in ("ratings", "ratings-same", "ratings-ragged", "empty")]), True), *output],
+        "cochran-q": [("--outcomes", st.sampled_from([str(root / f) for f in ("outcomes", "outcomes-same", "outcomes-bad", "empty")]), True), *output],
+        "gen-synthetic": [
+            ("--seed", _INTS, False),
+            ("--name", st.sampled_from(["synthetic", "x", "my corpus", ""]), False),
+            ("--dialogues", _INTS, False),
+            ("--turns", _INTS, False),
+            ("--pairs", _INTS, False),
+            ("--cue-emit", _CUE_ENTRIES, False),
+            ("--cue-shift", _CUE_ENTRIES, False),
+            ("--base-shift-task", _FLOATS, False),
+            ("--base-shift-dialogue", _FLOATS, False),
+            ("--out", st.just(str(root / "out.txt")), False),
+        ],
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_input_ends_in_a_named_exit_code(cli_inputs, data):
+    """Exit 0, 2, 3 or 64, never 1; no traceback; stdout empty unless exit 0, and no nan then.
+
+    Saturating inputs may exit 2 with "cannot combine totally conflicting
+    mass functions" or "masses must sum to 1": tracking is not yet total.
+    """
+    flags = _cli_flags(cli_inputs)
+    command = data.draw(st.sampled_from(sorted(flags)), label="command")
+    argv = [command]
+    for flag, values, required in flags[command]:
+        if required or data.draw(st.integers(0, 2)) == 0:
+            argv += [flag] if values is None else [flag, data.draw(values)]
+    if data.draw(st.integers(0, 30)) == 0:
+        argv.append("--help")
+    note(argv)
+    out_file = cli_inputs / "out.txt"
+    out_file.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    event(f"{command} exit {code}")
+    assert code in (0, 2, 3, 64), err
+    assert "Traceback" not in err
+    if code:
+        assert out == ""
+        assert not out_file.exists()
+    else:
+        written = out_file.read_text(encoding="utf-8") if out_file.exists() else ""
+        assert not re.search(r"\bnan\b", out + written, re.IGNORECASE)
