@@ -7,6 +7,13 @@ from initrack.corpus import Corpus, Dialogue, GeneratorConfig, Turn, gen_synthet
 from initrack.cues import CueKind, parse_cue
 
 
+# The README quick-start corpus, generated with seed 7.
+README_CONFIG = GeneratorConfig(
+    dialogues=8, turns_per_dialogue=25, pairs=4,
+    cue_emit={CueKind.NO_NEW_INFO_PROMPT: 0.35}, cue_shift={CueKind.NO_NEW_INFO_PROMPT: 0.9},
+)
+
+
 def make_turn(speaker: str, hearer: str, ti: str, di: str, cues: tuple[str, ...] = ()) -> Turn:
     return Turn(speaker, hearer, ti, di, tuple(parse_cue(c) for c in cues))
 

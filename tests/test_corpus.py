@@ -28,7 +28,7 @@ from initrack.corpus import (
 )
 from initrack.cues import CueKind
 
-from conftest import generator_configs, make_corpus, make_dialogue, plain_to_corpus, synthetic_corpora
+from conftest import README_CONFIG, generator_configs, make_corpus, make_dialogue, plain_to_corpus, synthetic_corpora
 from oracles import synthetic_dialogues
 
 SAMPLE = """\
@@ -530,11 +530,6 @@ def bench_config(name: str, dialogues: int) -> GeneratorConfig:
         base_shift_task=0.005, base_shift_dialogue=0.01,
     )
 
-
-README_CONFIG = GeneratorConfig(
-    dialogues=8, turns_per_dialogue=25, pairs=4,
-    cue_emit={K.NO_NEW_INFO_PROMPT: 0.35}, cue_shift={K.NO_NEW_INFO_PROMPT: 0.9},
-)
 
 # Pure noise cues (suboptimality and invalidity:belief have no shift entry),
 # shift entries never emitted (explicit_takeover; end_silence at emission p 0),

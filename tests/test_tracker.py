@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import warnings
@@ -24,7 +25,7 @@ from initrack.tracker import (
     train,
 )
 
-from conftest import corpus_to_plain, make_corpus, make_dialogue, synthetic_corpora
+from conftest import README_CONFIG, corpus_to_plain, make_corpus, make_dialogue, synthetic_corpora
 from oracles import HEA, SPK, THETA, OracleConflict, OracleInvalid, figure1_evaluate, figure1_train, fresh_model
 
 CONST = AdjustmentMethod.CONSTANT_INCREMENT
@@ -454,6 +455,110 @@ class TestOracleAgreement:
                 assert _trace(run.records) == oracle_trace
                 _assert_records_agree(run)
         assert format_model(model) == saved
+
+
+# Ten cue kinds emitted at 0.4 over three agent pairs, with shifts and base
+# shifts: most points read several tables and most turn lines are distinct.
+DENSE_CONFIG = GeneratorConfig(
+    name="dense", dialogues=9, turns_per_dialogue=40, pairs=3,
+    cue_emit={k: 0.4 for k in (CueKind.END_SILENCE, CueKind.QUESTION_DOMAIN, CueKind.INVALIDITY_ACTION,
+                               CueKind.AMBIGUITY_BELIEF, CueKind.NO_NEW_INFO_PROMPT, CueKind.SUBOPTIMALITY,
+                               CueKind.EXPLICIT_GIVEUP, CueKind.QUESTION_EVALUATION,
+                               CueKind.OBLIGATION_FULFILLED_TASK, CueKind.INVALIDITY_BELIEF)},
+    cue_shift={CueKind.QUESTION_DOMAIN: 0.9, CueKind.EXPLICIT_GIVEUP: 0.9, CueKind.NO_NEW_INFO_PROMPT: 0.7},
+    base_shift_task=0.05, base_shift_dialogue=0.05,
+)
+PINNED_CORPORA = {"readme": (README_CONFIG, 7), "default": (GeneratorConfig(), 5), "dense": (DENSE_CONFIG, 2)}
+# Keyed by (corpus, method, delta) and (corpus, method, cross-validated).
+PINNED_RUNS = {
+    ("readme", "const", 0.35): "2cfc0b2ba18b40dd61ba791c62e73ec99f11d2836cdec5c1ef73b48dd612ddd7",
+    ("readme", "const", 0.1): "867140ae78144b6e00363c50ea112cb87182dff94edee61dfdcf418e3fd18d32",
+    ("readme", "const-counter", 0.35): "771302e2264ed066e3d86a8cf9017ddf1a31818a7dd566a313a5c62a22ac700e",
+    ("readme", "const-counter", 0.1): "129ceaa6bc861763f8733eb2e6f34e844fa20627add7b366b390af5cece4a9d6",
+    ("readme", "var-counter", 0.35): "09eeea1c8f510f096048246f3008fb22d380da29bda7a98b23f4e0feffe058a8",
+    ("readme", "var-counter", 0.1): "3a702be216e7d4a8ba1d387e2bc9ca9630903081d329a7288dc8f9b51dd7e25b",
+    ("default", "const", 0.35): "7824e37a7ae0be8b7377cf2436a5e0a4d0952d003a8a438ae868a99c3c0edf06",
+    ("default", "const", 0.1): "7824e37a7ae0be8b7377cf2436a5e0a4d0952d003a8a438ae868a99c3c0edf06",
+    ("default", "const-counter", 0.35): "7824e37a7ae0be8b7377cf2436a5e0a4d0952d003a8a438ae868a99c3c0edf06",
+    ("default", "const-counter", 0.1): "7824e37a7ae0be8b7377cf2436a5e0a4d0952d003a8a438ae868a99c3c0edf06",
+    ("default", "var-counter", 0.35): "7824e37a7ae0be8b7377cf2436a5e0a4d0952d003a8a438ae868a99c3c0edf06",
+    ("default", "var-counter", 0.1): "7824e37a7ae0be8b7377cf2436a5e0a4d0952d003a8a438ae868a99c3c0edf06",
+    ("dense", "const", 0.35): "492fe0548af5f2ff5d3be5e23334ba5570e91c8d9032e98e9a4fa7d9285dab8e",
+    ("dense", "const", 0.1): "9f64f5f2520a0b1cdb6647e30ae4915891298ec82b57cc65d7b8afdcee3038e8",
+    ("dense", "const-counter", 0.35): "58be30d64552091f0d9f31079df2f1e11952cb3fe0c5277f1ddc292b929261b5",
+    ("dense", "const-counter", 0.1): "4bc824b25a3425b22b56e2c081b79ea82446f069192e990bd3e91196a7397607",
+    ("dense", "var-counter", 0.35): "84813ac07259fd0960956d521570f91e87bf87abeee0c06253cb7a4381cf23de",
+    ("dense", "var-counter", 0.1): "fcd5158e8316f56251ac2513388fc46412f19f2c692267cfa0f16d9cd6162c6e",
+}
+PINNED_SWEEPS = {
+    ("readme", "const", False): "6b72b058038b59d6219a3c288657ddac2fb23f85ada47c99c490c23a3994b18c",
+    ("readme", "const", True): "8b3913be6abd1dd6b0f2235bbc32865e6137e49f982417eb32c7678acb9602ec",
+    ("readme", "const-counter", False): "6ff08ff03f3beccf4f2f8b94e7b3b9667a13b16b93cca3939fa4bc93db78c416",
+    ("readme", "const-counter", True): "a8342d0dbe0d1378d8f62eacd71599d0aac685f2b1c78c4052f2b05fc52433ea",
+    ("readme", "var-counter", False): "1f2ccb2682dc6e531b4fbcad97f49e7160b3cbe87d014923e463e566219c3d9f",
+    ("readme", "var-counter", True): "1f2ccb2682dc6e531b4fbcad97f49e7160b3cbe87d014923e463e566219c3d9f",
+    ("default", "const", False): "fffc5db12507cbaf71c3b8cc4d41647e6430681b1f183e3274099cb069589745",
+    ("default", "const", True): "55aa53bb4164c1a223a3b51d62e0cb1c2ba506bd97675dc27bdbbae16f5ea413",
+    ("default", "const-counter", False): "fffc5db12507cbaf71c3b8cc4d41647e6430681b1f183e3274099cb069589745",
+    ("default", "const-counter", True): "b9ea37bb2241e541feadbbafae56824ff7fe6f2b52bf129f8846119c99334feb",
+    ("default", "var-counter", False): "fffc5db12507cbaf71c3b8cc4d41647e6430681b1f183e3274099cb069589745",
+    ("default", "var-counter", True): "e41979ff40ad321d900eb5ff2ec4ffecb0e5ffe0bdffc2a996a7016be5feda14",
+    ("dense", "const", False): "7f06cff34727a45f1fb50d9b38e9c259a399906f2d67426dedebf3043a4697c2",
+    ("dense", "const", True): "64a3eb31942bad521844e01996760771ba1d45d23dd244d8e10d0bc4b08ace04",
+    ("dense", "const-counter", False): "239909052f38c1ccbf6024d010df2f351131577f1d1bbd9232d9bea7e6fd11dc",
+    ("dense", "const-counter", True): "decb42cfd4d877f4b1299377b84521789667f7d5f5738392b23306ba6655ba8a",
+    ("dense", "var-counter", False): "a0fd54d5111ed4720c18e5ab491e61279f42bacbfd75f9212769b5aa4e59adf9",
+    ("dense", "var-counter", True): "cf1da997fa06466ca67185f226af1f72cf7d2b8e14cf3bc71bc191a587ecab2c",
+}
+
+
+def _pinned(call) -> str:
+    """A run's four outcome vectors in hex, or the type and message of its error."""
+    try:
+        run = call()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return " ".join(v.hex() for v in (run.ti_ok, run.di_ok, run.ti_speaker, run.di_speaker))
+
+
+def _digest(*parts: str) -> str:
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Byte-for-byte outputs of the kernel, as sha256 digests.
+
+    The digests were taken before prediction points were derived once per
+    dialogue; any change to the arithmetic, its order or a fold's error
+    shows here, where the oracle tests allow 1e-12 on masses.
+    """
+
+    @pytest.mark.parametrize("delta", [0.35, 0.1])
+    @pytest.mark.parametrize("method", list(AdjustmentMethod), ids=str)
+    @pytest.mark.parametrize("corpus_name", list(PINNED_CORPORA))
+    def test_train_and_evaluate(self, corpus_name, method, delta):
+        corpus = gen_synthetic(*PINNED_CORPORA[corpus_name])
+        config = TrackerConfig(delta=delta, method=method)
+        model = init_model()
+        trained = _pinned(lambda: train(corpus, config, model).run)
+        digest = _digest(
+            trained,
+            format_model(model),
+            _pinned(lambda: evaluate(corpus, model, config)),
+            _pinned(lambda: evaluate(corpus, model, config, teacher_forcing=False)),
+        )
+        assert digest == PINNED_RUNS[corpus_name, str(method), delta]
+
+    @pytest.mark.parametrize("cross_validated", [False, True], ids=["train", "xval"])
+    @pytest.mark.parametrize("method", list(AdjustmentMethod), ids=str)
+    @pytest.mark.parametrize("corpus_name", list(PINNED_CORPORA))
+    def test_sweep(self, corpus_name, method, cross_validated):
+        corpus = gen_synthetic(*PINNED_CORPORA[corpus_name])
+        try:
+            text = sweep_csv(sweep(corpus, TrackerConfig(method=method), cross_validated=cross_validated))
+        except ValueError as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        assert _digest(text) == PINNED_SWEEPS[corpus_name, str(method), cross_validated]
 
 
 class TestSweep:
