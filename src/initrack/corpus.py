@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
 
-from .cues import CueEffect, CueKind, UnknownCueError, canonical_specs, parse_cue
+from .cues import CueEffect, CueKind, Point, PointTable, UnknownCueError, canonical_specs, parse_cue, point_table
 from .evidence import Role
 
 
@@ -38,6 +39,8 @@ class Turn:
     ti_holder: str
     di_holder: str
     cues: tuple[CueKind, ...] = ()
+    # Derived from `cues`: `point_table(cues)`, one object per distinct cue list.
+    point_table: PointTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.speaker == self.hearer:
@@ -47,10 +50,11 @@ class Turn:
             raise ValueError("initiative holders must be one of the turn's two agents")
         if len(set(self.cues)) != len(self.cues):
             raise ValueError("duplicate cue in turn")
+        object.__setattr__(self, "point_table", point_table(self.cues))
 
     @classmethod
-    def _prechecked(cls, speaker: str, hearer: str, ti_holder: str, di_holder: str, cues: tuple[CueKind, ...]) -> Turn:
-        """A turn whose agents, holders and cues the caller has already checked."""
+    def _prechecked(cls, speaker: str, hearer: str, ti_holder: str, di_holder: str, cues: tuple[CueKind, ...], table: PointTable | None = None) -> Turn:
+        """A turn whose agents, holders and cues the caller has already checked; `table`, if given, is `point_table(cues)`."""
         turn = object.__new__(cls)
         set_field = object.__setattr__
         set_field(turn, "speaker", speaker)
@@ -58,6 +62,7 @@ class Turn:
         set_field(turn, "ti_holder", ti_holder)
         set_field(turn, "di_holder", di_holder)
         set_field(turn, "cues", cues)
+        set_field(turn, "point_table", point_table(cues) if table is None else table)
         return turn
 
 
@@ -87,6 +92,17 @@ class Dialogue:
         object.__setattr__(dialogue, "agents", agents)
         object.__setattr__(dialogue, "turns", turns)
         return dialogue
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        """The dialogue's prediction points, one per turn but the last, derived on first access and kept."""
+        turns = self.turns
+        return tuple([turn.point_table[nxt.ti_holder == turn.speaker][nxt.di_holder == turn.speaker]
+                      for turn, nxt in zip(turns, turns[1:])])
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles leave out the cached points, which are derived.
+        return {name: value for name, value in self.__dict__.items() if name != "points"}
 
 
 @dataclass(frozen=True)
@@ -149,7 +165,8 @@ def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
     pairs: dict[tuple[str, str], tuple[tuple[str, str], dict[str, str], dict[str, Turn]]] = {}
     own: dict[str, str] = {}  # each agent of the open dialogue, mapped to its pair tuple's string
     known: dict[str, Turn] = {}  # turn lines parsed under the open dialogue's agents
-    cue_lists: dict[str, tuple[CueKind, ...]] = {"-": ()}  # valid cue fields parsed so far
+    # Each valid cue field parsed so far: its cue list and that list's point table.
+    cue_lists: dict[str, tuple[tuple[CueKind, ...], PointTable]] = {"-": ((), point_table(()))}
 
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -183,8 +200,8 @@ def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
                 raise err(lineno, f"unknown agent {values[key]!r} in field {key!r}")
             if speaker == previous_speaker:
                 raise err(lineno, f"speaker {speaker!r} repeats; turns must alternate")
-            cues = cue_lists.get(values["cues"])
-            if cues is None:
+            cue_list = cue_lists.get(values["cues"])
+            if cue_list is None:
                 kinds: list[CueKind] = []
                 for token in values["cues"].split(","):
                     try:
@@ -194,10 +211,11 @@ def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
                     if kind in kinds:
                         raise err(lineno, f"duplicate cue {token!r}")
                     kinds.append(kind)
-                cues = cue_lists[values["cues"]] = tuple(kinds)
+                cues = tuple(kinds)
+                cue_list = cue_lists[values["cues"]] = cues, point_table(cues)
             a, b = current_agents
             hearer = b if speaker == a else a
-            turn = known[line] = Turn._prechecked(speaker, hearer, ti_holder, di_holder, cues)
+            turn = known[line] = Turn._prechecked(speaker, hearer, ti_holder, di_holder, *cue_list)
             previous_speaker = speaker
             current_turns.append(turn)
             continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .evidence import MassFunction, Role
@@ -145,6 +145,19 @@ TABLES: tuple[tuple[CueKind, Dimension], ...] = tuple(
     for dim in ((Dimension.TASK, Dimension.DIALOGUE) if spec.effect is _BOTH else (Dimension.DIALOGUE,))
 )
 TABLE_INDEX = {key: i for i, key in enumerate(TABLES)}
+
+# A prediction point: the task (both-effect cues only) and dialogue tables its turn's cues
+# read, in cue order, and whether the next turn's TI and DI holder is the turn's speaker.
+Point = tuple[tuple[int, ...], tuple[int, ...], bool, bool]
+PointTable = tuple[tuple[Point, Point], tuple[Point, Point]]
+
+
+@lru_cache(maxsize=4096)
+def point_table(cues: tuple[CueKind, ...]) -> PointTable:
+    """The four points a turn with `cues` can make, as [TI next is speaker][DI next is speaker]."""
+    task = tuple(TABLE_INDEX[k, Dimension.TASK] for k in cues if (k, Dimension.TASK) in TABLE_INDEX)
+    dialogue = tuple(TABLE_INDEX[k, Dimension.DIALOGUE] for k in cues)
+    return tuple(tuple((task, dialogue, ti, di) for di in (False, True)) for ti in (False, True))
 
 
 def _table_field(dim: Dimension, counter: bool) -> property:

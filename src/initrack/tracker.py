@@ -7,9 +7,10 @@ holders, and (in training mode) adjusts cue parameters whenever a
 prediction disagrees with the annotation.  Because speakers alternate,
 moving to the next turn swaps the speaker/hearer components.
 
-All of this runs in one loop, `track`, over plain floats: it reads and
-adjusts the model's 23 (cue, dimension) tables, `[speaker, hearer, theta]`
-lists with int counters beside them, in place.  Every combination and every
+All of this runs in one loop, `track`, over each dialogue's derived
+`points` and plain floats: it reads and adjusts the model's 23 (cue,
+dimension) tables, `[speaker, hearer, theta]` lists with int counters beside
+them, in place.  Every combination and every
 table adjustment is checked as a `MassFunction` would be; a step that fails
 the check is redone through `combine` or `MassFunction`, which raise its
 error.  A run's outcome is stored once, as a `RunResult`: its dialogues and
@@ -30,7 +31,7 @@ from itertools import count, islice
 from typing import NamedTuple, Sequence
 
 from .corpus import Corpus, Dialogue
-from .cues import TABLE_INDEX, CueKind, CueModel, Dimension, init_model
+from .cues import CueKind, CueModel, Dimension, init_model, point_table
 from .evidence import SUM_TOLERANCE, MassFunction, Role, combine, predicted_holder
 
 
@@ -219,12 +220,6 @@ _CONST = AdjustmentMethod.CONSTANT_INCREMENT
 _CONST_COUNTER = AdjustmentMethod.CONSTANT_INCREMENT_WITH_COUNTER
 
 
-def _cue_slots(cues: Sequence[CueKind]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The observed cues' task tables (both-effect cues only) and dialogue tables."""
-    task = tuple(TABLE_INDEX[k, Dimension.TASK] for k in cues if (k, Dimension.TASK) in TABLE_INDEX)
-    return task, tuple(TABLE_INDEX[k, Dimension.DIALOGUE] for k in cues)
-
-
 def _valid(s: float, h: float, t: float) -> bool:
     """What `MassFunction` accepts: no mass negative or NaN, and a sum of 1."""
     return abs(s + h + t - 1.0) <= SUM_TOLERANCE and s >= 0.0 and h >= 0.0 and t >= 0.0
@@ -309,33 +304,25 @@ def track(
     """
     tables, counters = model.masses, model.counters
     counting = learn and config.method is not AdjustmentMethod.CONSTANT_INCREMENT
-    slots_of: dict[tuple[CueKind, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     # The start index and the resets onto the speaker and the hearer, as
     # `bayesian(x)`, `bayesian(r)` and `bayesian(1 - r)` give them: the hearer
     # reset keeps 1 - (1 - r), which is not always r.
     x, r = config.default_x, config.reset_strength
     index0, reset_s, reset_h = (x, 1.0 - x, 0.0), (r, 1.0 - r, 0.0), (1.0 - r, 1.0 - (1.0 - r), 0.0)
     ti_ok, di_ok, ti_speaker, di_speaker = bytearray(), bytearray(), bytearray(), bytearray()
+    ti_ok_append, di_ok_append = ti_ok.append, di_ok.append
+    ti_speaker_append, di_speaker_append = ti_speaker.append, di_speaker.append
     for dialogue in dialogues:
         ts, th, tt = ds, dh, dt = index0
-        turns = dialogue.turns
-        for turn, nxt in zip(turns, islice(turns, 1, None)):
-            cues = turn.cues
-            if cues:
-                slots = slots_of.get(cues)
-                if slots is None:
-                    slots = slots_of[cues] = _cue_slots(cues)
-                task_slots, dialogue_slots = slots
+        for task_slots, dialogue_slots, ti_actual, di_actual in dialogue.points:
+            if dialogue_slots:  # every cue has a dialogue table
                 if task_slots:
                     ts, th, tt = _fold(ts, th, tt, tables, task_slots)
                 ds, dh, dt = _fold(ds, dh, dt, tables, dialogue_slots)
-            else:
-                task_slots = dialogue_slots = ()
-            speaker = turn.speaker
             ti_pred, di_pred = ts >= th, ds >= dh
-            ti_actual, di_actual = nxt.ti_holder == speaker, nxt.di_holder == speaker
+            ti_hit, di_hit = ti_pred == ti_actual, di_pred == di_actual
 
-            if ti_pred == ti_actual:
+            if ti_hit:
                 if counting and task_slots:
                     _credit(counters, task_slots)
             else:
@@ -343,7 +330,7 @@ def track(
                     _adjust(tables, counters, task_slots, ti_actual, config)
                 if reset_on_error:
                     ts, th, tt = reset_s if ti_actual else reset_h
-            if di_pred == di_actual:
+            if di_hit:
                 if counting and dialogue_slots:
                     _credit(counters, dialogue_slots)
             else:
@@ -352,10 +339,10 @@ def track(
                 if reset_on_error:
                     ds, dh, dt = reset_s if di_actual else reset_h
 
-            ti_ok.append(ti_pred == ti_actual)
-            di_ok.append(di_pred == di_actual)
-            ti_speaker.append(ti_pred)
-            di_speaker.append(di_pred)
+            ti_ok_append(ti_hit)
+            di_ok_append(di_hit)
+            ti_speaker_append(ti_pred)
+            di_speaker_append(di_pred)
             # The next turn's speaker is this turn's hearer.
             ts, th = th, ts
             ds, dh = dh, ds
@@ -374,7 +361,7 @@ def step_predict(state: TrackerState, cues: Sequence[CueKind], model: CueModel) 
     task side.
     """
     tables = model.masses
-    task_slots, dialogue_slots = _cue_slots(cues)
+    task_slots, dialogue_slots, _, _ = point_table(tuple(cues))[0][0]
     m_t, m_d = state.m_t_cur, state.m_d_cur
     m_t_new = MassFunction(*_fold(m_t.speaker, m_t.hearer, m_t.theta, tables, task_slots))
     m_d_new = MassFunction(*_fold(m_d.speaker, m_d.hearer, m_d.theta, tables, dialogue_slots))
@@ -392,7 +379,7 @@ def adjust_bpa(
 
     For the task dimension only cues with both-initiative effect are touched.
     """
-    slots = _cue_slots(cues)[0 if dimension is Dimension.TASK else 1]
+    slots = point_table(tuple(cues))[0][0][0 if dimension is Dimension.TASK else 1]
     _adjust(model.masses, model.counters, slots, actual is Role.SPEAKER, config)
 
 
@@ -402,7 +389,7 @@ def credit_counters(
     """Give each observed cue one unit of credit after a correct prediction."""
     if config.method is AdjustmentMethod.CONSTANT_INCREMENT:
         return
-    _credit(model.counters, _cue_slots(cues)[0 if dimension is Dimension.TASK else 1])
+    _credit(model.counters, point_table(tuple(cues))[0][0][0 if dimension is Dimension.TASK else 1])
 
 
 def run_dialogue(

@@ -26,9 +26,11 @@ from initrack.corpus import (
     parse_corpus,
     partition_by_pair,
 )
-from initrack.cues import CueKind
+from initrack.cues import TABLE_INDEX, CueEffect, CueKind, Dimension, canonical_specs, format_model, init_model, point_table
+from initrack.evalstats import evaluate
+from initrack.tracker import TrackerConfig, train
 
-from conftest import README_CONFIG, generator_configs, make_corpus, make_dialogue, plain_to_corpus, synthetic_corpora
+from conftest import README_CONFIG, corpus_to_plain, generator_configs, make_corpus, make_dialogue, plain_to_corpus, synthetic_corpora
 from oracles import synthetic_dialogues
 
 SAMPLE = """\
@@ -594,3 +596,79 @@ class TestGeneratorDrawOrder:
         )
         for d in corpus.dialogues:
             assert Dialogue(d.id, d.agents, d.turns) == d
+
+
+# ---------------------------------------------------------------------------
+# Prediction points
+
+_BOTH = {spec.kind for spec in canonical_specs() if spec.effect is CueEffect.BOTH}
+
+
+def straight_points(dialogue: Dialogue) -> list[tuple]:
+    """Each point as track reads it, derived turn by turn from TABLE_INDEX."""
+    points = []
+    for t in range(len(dialogue.turns) - 1):
+        turn, nxt = dialogue.turns[t], dialogue.turns[t + 1]
+        task = tuple(TABLE_INDEX[k, Dimension.TASK] for k in turn.cues if k in _BOTH)
+        dialogue_tables = tuple(TABLE_INDEX[k, Dimension.DIALOGUE] for k in turn.cues)
+        points.append((task, dialogue_tables, nxt.ti_holder == turn.speaker, nxt.di_holder == turn.speaker))
+    return points
+
+
+class TestPoints:
+    @settings(max_examples=150, deadline=None)
+    @given(generator_configs(), st.integers(0, 2**16))
+    def test_points_are_the_straight_derivation(self, config, seed):
+        generated = gen_synthetic(config, seed)
+        parsed = parse_corpus(format_corpus(generated))
+        # Built with the public constructors, one Turn per turn: no turn is shared.
+        constructed = plain_to_corpus(generated.name, [
+            {**d, "agents": dialogue.agents} for d, dialogue in zip(corpus_to_plain(generated), generated.dialogues)
+        ])
+        assert constructed == generated == parsed
+        for corpus in (generated, parsed, constructed):
+            for dialogue in corpus.dialogues:
+                assert list(dialogue.points) == straight_points(dialogue)
+                assert dialogue.points is dialogue.points
+        for a, b in zip(parsed.dialogues, constructed.dialogues):
+            for parsed_turn, turn in zip(a.turns, b.turns):
+                assert parsed_turn == turn and parsed_turn.point_table == turn.point_table
+
+    def test_table_of_a_cue_list(self):
+        cues = (CueKind.QUESTION_DOMAIN, CueKind.NO_NEW_INFO_PROMPT)
+        prompt = TABLE_INDEX[CueKind.NO_NEW_INFO_PROMPT, Dimension.TASK]
+        dialogue_tables = tuple(TABLE_INDEX[k, Dimension.DIALOGUE] for k in cues)
+        assert point_table(cues) == (
+            (((prompt,), dialogue_tables, False, False), ((prompt,), dialogue_tables, False, True)),
+            (((prompt,), dialogue_tables, True, False), ((prompt,), dialogue_tables, True, True)),
+        )
+        assert point_table(()) == ((((), (), False, False), ((), (), False, True)), (((), (), True, False), ((), (), True, True)))
+
+    def test_derived_field_takes_no_part_in_equality_or_repr(self):
+        turn = Turn("a", "b", "a", "b", (CueKind.END_SILENCE,))
+        assert repr(turn) == "Turn(speaker='a', hearer='b', ti_holder='a', di_holder='b', cues=(<CueKind.END_SILENCE: 'end_silence'>,))"
+        assert turn.point_table == point_table(turn.cues)
+        changed = dataclasses.replace(turn, cues=(CueKind.QUESTION_DOMAIN, CueKind.SUBOPTIMALITY))
+        assert changed.point_table == point_table((CueKind.QUESTION_DOMAIN, CueKind.SUBOPTIMALITY))
+        assert dataclasses.replace(changed, cues=turn.cues) == turn
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(turn, point_table=point_table(()))
+
+    def test_copies_and_pickles_leave_out_the_points(self):
+        corpus = gen_synthetic(README_CONFIG, 7)
+        config = TrackerConfig()
+        trained = train(corpus, config)
+        run = evaluate(corpus, trained.model, config)
+        assert all("points" in vars(d) for d in corpus.dialogues)
+        for dialogue in corpus.dialogues:
+            for clone in (pickle.loads(pickle.dumps(dialogue)), copy.copy(dialogue), copy.deepcopy(dialogue)):
+                assert "points" not in vars(clone) and clone == dialogue
+                assert clone.points == dialogue.points
+        for clone in (pickle.loads(pickle.dumps(run)), copy.copy(run), copy.deepcopy(run)):
+            assert clone == run
+            if clone.dialogues is not run.dialogues:  # copy.copy shares them
+                assert all("points" not in vars(d) for d in clone.dialogues)
+            restored = Corpus(corpus.name, clone.dialogues)
+            retrained = train(restored, config, init_model())
+            assert retrained.run == trained.run and format_model(retrained.model) == format_model(trained.model)
+            assert evaluate(restored, retrained.model, config) == run
