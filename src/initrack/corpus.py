@@ -215,7 +215,8 @@ def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
                 cue_list = cue_lists[values["cues"]] = cues, point_table(cues)
             a, b = current_agents
             hearer = b if speaker == a else a
-            turn = known[line] = Turn._prechecked(speaker, hearer, ti_holder, di_holder, *cue_list)
+            cues, table = cue_list
+            turn = known[line] = Turn._prechecked(speaker, hearer, ti_holder, di_holder, cues, table)
             previous_speaker = speaker
             current_turns.append(turn)
             continue
