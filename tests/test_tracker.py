@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from initrack import tracker
 from initrack.corpus import GeneratorConfig, gen_synthetic
 from initrack.cues import CueKind, Dimension, format_model, init_model
-from initrack.evalstats import cross_validate, evaluate
+from initrack.evalstats import baseline_run, cross_validate, error_report, error_report_csv, error_report_text, evaluate
 from initrack.evidence import MassFunction, Role, TotalConflictError, bayesian, vacuous
 from initrack.tracker import (
     DEFAULT_GRID,
@@ -511,6 +511,35 @@ PINNED_SWEEPS = {
     ("dense", "var-counter", True): "cf1da997fa06466ca67185f226af1f72cf7d2b8e14cf3bc71bc191a587ecab2c",
 }
 
+# The baseline's outcome vectors and error reports, by corpus.
+PINNED_BASELINES = {
+    "readme": "63ba234ddeb59668d7a4ef9863161455db7a93b58c3f0b17078e65b1f06b8a86",
+    "default": "c8f709fa8ddc5c302f0f671bbd8c8965674d8aed2c7fbf2b996b23a7635196a2",
+    "dense": "a0310a90b0adb096cf2ed501d7504caf9e248fb574cd5f36e90419048de28600",
+}
+# Keyed by (corpus, method, delta): the error reports of frozen evaluate and
+# of the cross-validated aggregate, whose dialogues come in fold order.
+PINNED_REPORTS = {
+    ("readme", "const", 0.35): "d5d0d2365e9dcb93030ef626d2bf02d2c7b04969fb9ca4f692f78d4bb84dca23",
+    ("readme", "const", 0.1): "982d03cb459c29c042fa5d0e15df72ae509b7075b3c8180b900ce87cc5ef9114",
+    ("readme", "const-counter", 0.35): "4071c6036c65b064b8865c7ea19851226e2123a309d1bcb3d1acee1325d23736",
+    ("readme", "const-counter", 0.1): "00047b99546760537b327c098f0c30698e6185adcf7f6897b5e392cf740ab9c8",
+    ("readme", "var-counter", 0.35): "73bd08dcc9ff2216c7d814e2bc20078bfdc2c2d539e1249b24b355c7e967bafc",
+    ("readme", "var-counter", 0.1): "4071c6036c65b064b8865c7ea19851226e2123a309d1bcb3d1acee1325d23736",
+    ("default", "const", 0.35): "cdca8ba6e53870a7938e74bd991d26802a5bb893ef52b3411e6f27221ec66069",
+    ("default", "const", 0.1): "cdca8ba6e53870a7938e74bd991d26802a5bb893ef52b3411e6f27221ec66069",
+    ("default", "const-counter", 0.35): "cdca8ba6e53870a7938e74bd991d26802a5bb893ef52b3411e6f27221ec66069",
+    ("default", "const-counter", 0.1): "cdca8ba6e53870a7938e74bd991d26802a5bb893ef52b3411e6f27221ec66069",
+    ("default", "var-counter", 0.35): "cdca8ba6e53870a7938e74bd991d26802a5bb893ef52b3411e6f27221ec66069",
+    ("default", "var-counter", 0.1): "cdca8ba6e53870a7938e74bd991d26802a5bb893ef52b3411e6f27221ec66069",
+    ("dense", "const", 0.35): "fa39f68b5e8d83146447615f2dd97e3184282cff809bbc99e7bbd0ccce7ad7b8",
+    ("dense", "const", 0.1): "8e48bc0f6c3da87626c77911532bb5fd2cebd9df2660962579c9902a1ff2014b",
+    ("dense", "const-counter", 0.35): "ba28d5f10b44ce43a72fc73b81d87c24061e751bb31330fbcd6233ad18d58946",
+    ("dense", "const-counter", 0.1): "c9ce0d4e84fb9df497d1f63c53632e0b05d0c413ca78f3e99022544557def62e",
+    ("dense", "var-counter", 0.35): "1548625f395a10bf8078d98f474c36f7693cb455ae19016d819d6138448a486b",
+    ("dense", "var-counter", 0.1): "2f8d51478b4c08a77f8504cca80d46bc84767abe5d21897146d196dd3c0133fc",
+}
+
 
 def _pinned(call) -> str:
     """A run's four outcome vectors in hex, or the type and message of its error."""
@@ -521,6 +550,14 @@ def _pinned(call) -> str:
     return " ".join(v.hex() for v in (run.ti_ok, run.di_ok, run.ti_speaker, run.di_speaker))
 
 
+def _reports(corpus, call) -> str:
+    """A run's error report as CSV and as text, or the type and message of its error."""
+    try:
+        report = error_report(call(), corpus)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return error_report_csv(report) + error_report_text(report)
+
 def _digest(*parts: str) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
@@ -528,9 +565,11 @@ def _digest(*parts: str) -> str:
 class TestPinnedOutputs:
     """Byte-for-byte outputs of the kernel, as sha256 digests.
 
-    The digests were taken before prediction points were derived once per
-    dialogue; any change to the arithmetic, its order or a fold's error
-    shows here, where the oracle tests allow 1e-12 on masses.
+    The run and sweep digests were taken before prediction points were
+    derived once per dialogue, the baseline and report digests before the
+    analysis passes read those points; any change to the arithmetic, its
+    order or a fold's error shows here, where the oracle tests allow 1e-12
+    on masses.
     """
 
     @pytest.mark.parametrize("delta", [0.35, 0.1])
@@ -559,6 +598,26 @@ class TestPinnedOutputs:
         except ValueError as exc:
             text = f"{type(exc).__name__}: {exc}"
         assert _digest(text) == PINNED_SWEEPS[corpus_name, str(method), cross_validated]
+
+    @pytest.mark.parametrize("corpus_name", list(PINNED_CORPORA))
+    def test_baseline(self, corpus_name):
+        corpus = gen_synthetic(*PINNED_CORPORA[corpus_name])
+        digest = _digest(_pinned(lambda: baseline_run(corpus)), _reports(corpus, lambda: baseline_run(corpus)))
+        assert digest == PINNED_BASELINES[corpus_name]
+
+    @pytest.mark.parametrize("delta", [0.35, 0.1])
+    @pytest.mark.parametrize("method", list(AdjustmentMethod), ids=str)
+    @pytest.mark.parametrize("corpus_name", list(PINNED_CORPORA))
+    def test_error_reports(self, corpus_name, method, delta):
+        corpus = gen_synthetic(*PINNED_CORPORA[corpus_name])
+        config = TrackerConfig(delta=delta, method=method)
+        model = init_model()
+        _pinned(lambda: train(corpus, config, model).run)  # a failed training leaves its partial model
+        digest = _digest(
+            _reports(corpus, lambda: evaluate(corpus, model, config)),
+            _reports(corpus, lambda: cross_validate(corpus, config).aggregate),
+        )
+        assert digest == PINNED_REPORTS[corpus_name, str(method), delta]
 
 
 class TestSweep:
