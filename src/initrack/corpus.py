@@ -15,7 +15,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
 
-from .cues import CueEffect, CueKind, Point, PointTable, UnknownCueError, canonical_specs, parse_cue, point_table
+from .cues import CueEffect, CueKind, CueTable, Point, PointTable, UnknownCueError, canonical_specs, parse_cue, point_table
 from .evidence import Role
 
 
@@ -39,7 +39,7 @@ class Turn:
     ti_holder: str
     di_holder: str
     cues: tuple[CueKind, ...] = ()
-    # Derived from `cues`: `point_table(cues)`, one object per distinct cue list.
+    # Derived: the 2x2 sub-table of `point_table(cues)` for the turn's current holders.
     point_table: PointTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -48,12 +48,15 @@ class Turn:
         pair = {self.speaker, self.hearer}
         if self.ti_holder not in pair or self.di_holder not in pair:
             raise ValueError("initiative holders must be one of the turn's two agents")
+        if not isinstance(self.cues, tuple) or not all(type(kind) is CueKind for kind in self.cues):
+            raise ValueError(f"cues must be a tuple of CueKind members, got {self.cues!r}")
         if len(set(self.cues)) != len(self.cues):
             raise ValueError("duplicate cue in turn")
-        object.__setattr__(self, "point_table", point_table(self.cues))
+        table = point_table(self.cues)[self.ti_holder == self.speaker][self.di_holder == self.speaker]
+        object.__setattr__(self, "point_table", table)
 
     @classmethod
-    def _prechecked(cls, speaker: str, hearer: str, ti_holder: str, di_holder: str, cues: tuple[CueKind, ...], table: PointTable | None = None) -> Turn:
+    def _prechecked(cls, speaker: str, hearer: str, ti_holder: str, di_holder: str, cues: tuple[CueKind, ...], table: CueTable | None = None) -> Turn:
         """A turn whose agents, holders and cues the caller has already checked; `table`, if given, is `point_table(cues)`."""
         turn = object.__new__(cls)
         set_field = object.__setattr__
@@ -62,7 +65,7 @@ class Turn:
         set_field(turn, "ti_holder", ti_holder)
         set_field(turn, "di_holder", di_holder)
         set_field(turn, "cues", cues)
-        set_field(turn, "point_table", point_table(cues) if table is None else table)
+        set_field(turn, "point_table", (point_table(cues) if table is None else table)[ti_holder == speaker][di_holder == speaker])
         return turn
 
 
@@ -165,8 +168,8 @@ def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
     pairs: dict[tuple[str, str], tuple[tuple[str, str], dict[str, str], dict[str, Turn]]] = {}
     own: dict[str, str] = {}  # each agent of the open dialogue, mapped to its pair tuple's string
     known: dict[str, Turn] = {}  # turn lines parsed under the open dialogue's agents
-    # Each valid cue field parsed so far: its cue list and that list's point table.
-    cue_lists: dict[str, tuple[tuple[CueKind, ...], PointTable]] = {"-": ((), point_table(()))}
+    # Each valid cue field parsed so far: its cue list and that list's 16-entry point table.
+    cue_lists: dict[str, tuple[tuple[CueKind, ...], CueTable]] = {"-": ((), point_table(()))}
 
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()

@@ -147,17 +147,32 @@ TABLES: tuple[tuple[CueKind, Dimension], ...] = tuple(
 TABLE_INDEX = {key: i for i, key in enumerate(TABLES)}
 
 # A prediction point: the task (both-effect cues only) and dialogue tables its turn's cues
-# read, in cue order, and whether the next turn's TI and DI holder is the turn's speaker.
-Point = tuple[tuple[int, ...], tuple[int, ...], bool, bool]
+# read, in cue order; whether the next turn's TI and DI holder is the turn's speaker; and
+# its key, TI stays | DI stays << 1 | TI now speaker << 2 | DI now speaker << 3, plus the
+# bitmask of its dialogue tables shifted left by 4 (each cue has one dialogue table).
+Point = tuple[tuple[int, ...], tuple[int, ...], bool, bool, int]
 PointTable = tuple[tuple[Point, Point], tuple[Point, Point]]
+CueTable = tuple[tuple[PointTable, PointTable], tuple[PointTable, PointTable]]
+
+
+# Per entry of a point table, in index order: TI and DI next is speaker, and the key's low bits.
+_ENTRIES = [(ti, di, (ti == ti_now) | (di == di_now) << 1 | ti_now << 2 | di_now << 3)
+            for ti_now in (False, True) for di_now in (False, True) for ti in (False, True) for di in (False, True)]
 
 
 @lru_cache(maxsize=4096)
-def point_table(cues: tuple[CueKind, ...]) -> PointTable:
-    """The four points a turn with `cues` can make, as [TI next is speaker][DI next is speaker]."""
+def point_table(cues: tuple[CueKind, ...]) -> CueTable:
+    """The 16 points a turn with `cues` can make, as
+    [TI now is speaker][DI now is speaker][TI next is speaker][DI next is speaker]."""
     task = tuple(TABLE_INDEX[k, Dimension.TASK] for k in cues if (k, Dimension.TASK) in TABLE_INDEX)
     dialogue = tuple(TABLE_INDEX[k, Dimension.DIALOGUE] for k in cues)
-    return tuple(tuple((task, dialogue, ti, di) for di in (False, True)) for ti in (False, True))
+    mask = sum(1 << i for i in dialogue) << 4
+    table = [(task, dialogue, ti, di, mask | low) for ti, di, low in _ENTRIES]
+    # Built flat and paired up: nested generators made a fresh process's first parse slower.
+    for _ in range(3):  # 8 pairs, 4 sub-tables, 2 halves
+        it = iter(table)
+        table = list(zip(it, it))
+    return tuple(table)
 
 
 def _table_field(dim: Dimension, counter: bool) -> property:

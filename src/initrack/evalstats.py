@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
-from typing import Hashable, Sequence
+from itertools import chain, compress, repeat
+from operator import and_, itemgetter
+from typing import Hashable, Iterator, Sequence
 
-from .corpus import Corpus, partition_by_pair
-from .cues import CueKind, CueModel, Dimension, canonical_specs
+from .corpus import Corpus, Dialogue, partition_by_pair
+from .cues import TABLES, CueKind, CueModel, Dimension, canonical_specs
 from .tracker import RunResult, TrackerConfig, track, train
 
 
@@ -38,17 +39,20 @@ def evaluate(
     return track(corpus.dialogues, model, config, learn=False, reset_on_error=teacher_forcing)
 
 
+def _keys(dialogues: Sequence[Dialogue]) -> Iterator[int]:
+    """Each prediction point's key (see `cues.Point`), dialogue by dialogue."""
+    return map(itemgetter(4), chain.from_iterable(d.points for d in dialogues))
+
+
+# Byte translations: a key's low four bits to one of its bits, and a 0/1 byte to its negation.
+_BIT = [bytes((k >> b) & 1 for k in range(256)) for b in range(4)]
+_NOT = bytes([1]) + bytes(255)
+
+
 def baseline_run(corpus: Corpus) -> RunResult:
     """The no-cue predictor: the initiative stays with its current holder."""
-    ti_ok, di_ok, ti_speaker, di_speaker = bytearray(), bytearray(), bytearray(), bytearray()
-    for dialogue in corpus.dialogues:
-        turns = dialogue.turns
-        for turn, nxt in zip(turns, islice(turns, 1, None)):
-            ti_ok.append(turn.ti_holder == nxt.ti_holder)
-            di_ok.append(turn.di_holder == nxt.di_holder)
-            ti_speaker.append(turn.ti_holder == turn.speaker)
-            di_speaker.append(turn.di_holder == turn.speaker)
-    return RunResult(corpus.dialogues, bytes(ti_ok), bytes(di_ok), bytes(ti_speaker), bytes(di_speaker))
+    bits = bytes(map(and_, _keys(corpus.dialogues), repeat(15)))
+    return RunResult(corpus.dialogues, *(bits.translate(table) for table in _BIT))
 
 
 @dataclass(frozen=True)
@@ -135,35 +139,27 @@ def error_report(run: RunResult, corpus: Corpus) -> ErrorReport:
     for dialogue in corpus.dialogues:
         if points.get(dialogue.id) != len(dialogue.turns) - 1:
             raise ValueError(f"run does not match corpus: dialogue {dialogue.id!r} differs")
-    cells = {
-        (spec.kind, dim): ErrorCell() for spec in canonical_specs() for dim in (Dimension.TASK, Dimension.DIALOGUE)
-    }
-    task_cells = {spec.kind: cells[(spec.kind, Dimension.TASK)] for spec in canonical_specs()}
-    dialogue_cells = {spec.kind: cells[(spec.kind, Dimension.DIALOGUE)] for spec in canonical_specs()}
-    ti_ok, di_ok = run.ti_ok, run.di_ok
-    k = 0
-    for dialogue in run.dialogues:
-        turns = dialogue.turns
-        for turn, nxt in zip(turns, islice(turns, 1, None)):
-            if turn.cues:
-                ti_shift = nxt.ti_holder != turn.ti_holder
-                di_shift = nxt.di_holder != turn.di_holder
-                ti_wrong = not ti_ok[k]
-                di_wrong = not di_ok[k]
-                for kind in turn.cues:
-                    _tally(task_cells[kind], ti_shift, ti_wrong)
-                    _tally(dialogue_cells[kind], di_shift, di_wrong)
-            k += 1
-    return ErrorReport(cells)
-
-
-def _tally(cell: ErrorCell, shift: bool, wrong: bool) -> None:
-    if shift:
-        cell.shift_total += 1
-        cell.shift_errors += wrong
-    else:
-        cell.noshift_total += 1
-        cell.noshift_errors += wrong
+    keys = list(_keys(run.dialogues))
+    if len(run.ti_ok) != len(keys) or len(run.di_ok) != len(keys):
+        raise ValueError(f"{len(run.ti_ok)} outcome bytes for {len(keys)} prediction points")
+    totals = Counter(keys)
+    ti_errors = Counter(compress(keys, run.ti_ok.translate(_NOT)))
+    di_errors = Counter(compress(keys, run.di_ok.translate(_NOT)))
+    # Per cue mask, TI and DI: [shift errors, shift total, no-shift errors, no-shift total].
+    sums: dict[int, tuple[list[int], list[int]]] = {}
+    for key, total in totals.items():
+        if key >> 4:
+            ti, di = sums.setdefault(key >> 4, ([0] * 4, [0] * 4))
+            for tally, stays, errors in ((ti, key & 1, ti_errors), (di, key >> 1 & 1, di_errors)):
+                tally[2 * stays] += errors[key]
+                tally[2 * stays + 1] += total
+    cells = {(spec.kind, dim): [0] * 4 for spec in canonical_specs() for dim in (Dimension.TASK, Dimension.DIALOGUE)}
+    for mask, (ti, di) in sums.items():
+        # Bit i names dialogue table i, which belongs to one cue.
+        for kind in [TABLES[i][0] for i in range(mask.bit_length()) if mask >> i & 1]:
+            for dim, tally in ((Dimension.TASK, ti), (Dimension.DIALOGUE, di)):
+                cells[kind, dim] = [a + b for a, b in zip(cells[kind, dim], tally)]
+    return ErrorReport({key: ErrorCell(*cell) for key, cell in cells.items()})
 
 
 def error_report_csv(report: ErrorReport) -> str:

@@ -314,7 +314,7 @@ def track(
     ti_speaker_append, di_speaker_append = ti_speaker.append, di_speaker.append
     for dialogue in dialogues:
         ts, th, tt = ds, dh, dt = index0
-        for task_slots, dialogue_slots, ti_actual, di_actual in dialogue.points:
+        for task_slots, dialogue_slots, ti_actual, di_actual, _ in dialogue.points:
             if dialogue_slots:  # every cue has a dialogue table
                 if task_slots:
                     ts, th, tt = _fold(ts, th, tt, tables, task_slots)
@@ -361,7 +361,7 @@ def step_predict(state: TrackerState, cues: Sequence[CueKind], model: CueModel) 
     task side.
     """
     tables = model.masses
-    task_slots, dialogue_slots, _, _ = point_table(tuple(cues))[0][0]
+    task_slots, dialogue_slots, *_ = point_table(tuple(cues))[0][0][0][0]
     m_t, m_d = state.m_t_cur, state.m_d_cur
     m_t_new = MassFunction(*_fold(m_t.speaker, m_t.hearer, m_t.theta, tables, task_slots))
     m_d_new = MassFunction(*_fold(m_d.speaker, m_d.hearer, m_d.theta, tables, dialogue_slots))
@@ -379,7 +379,7 @@ def adjust_bpa(
 
     For the task dimension only cues with both-initiative effect are touched.
     """
-    slots = point_table(tuple(cues))[0][0][0 if dimension is Dimension.TASK else 1]
+    slots = point_table(tuple(cues))[0][0][0][0][0 if dimension is Dimension.TASK else 1]
     _adjust(model.masses, model.counters, slots, actual is Role.SPEAKER, config)
 
 
@@ -389,7 +389,7 @@ def credit_counters(
     """Give each observed cue one unit of credit after a correct prediction."""
     if config.method is AdjustmentMethod.CONSTANT_INCREMENT:
         return
-    _credit(model.counters, point_table(tuple(cues))[0][0][0 if dimension is Dimension.TASK else 1])
+    _credit(model.counters, point_table(tuple(cues))[0][0][0][0][0 if dimension is Dimension.TASK else 1])
 
 
 def run_dialogue(

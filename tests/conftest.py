@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from initrack.corpus import Corpus, Dialogue, GeneratorConfig, Turn, gen_synthetic
+from initrack.corpus import Corpus, Dialogue, GeneratorConfig, Turn, format_corpus, gen_synthetic, parse_corpus
 from initrack.cues import CueKind, parse_cue
 
 
@@ -111,3 +111,12 @@ def plain_to_corpus(name: str, dialogues: list[dict]) -> Corpus:
             for d in dialogues
         ),
     )
+
+
+def corpus_forms(generated: Corpus) -> tuple[Corpus, Corpus, Corpus]:
+    """A generated corpus, its text parsed back, and its copy built with the
+    public constructors, one Turn per turn (no turn is shared)."""
+    constructed = plain_to_corpus(generated.name, [
+        {**d, "agents": dialogue.agents} for d, dialogue in zip(corpus_to_plain(generated), generated.dialogues)
+    ])
+    return generated, parse_corpus(format_corpus(generated)), constructed

@@ -30,7 +30,7 @@ from initrack.cues import TABLE_INDEX, CueEffect, CueKind, Dimension, canonical_
 from initrack.evalstats import evaluate
 from initrack.tracker import TrackerConfig, train
 
-from conftest import README_CONFIG, corpus_to_plain, generator_configs, make_corpus, make_dialogue, plain_to_corpus, synthetic_corpora
+from conftest import README_CONFIG, corpus_forms, generator_configs, make_corpus, make_dialogue, plain_to_corpus, synthetic_corpora
 from oracles import synthetic_dialogues
 
 SAMPLE = """\
@@ -397,6 +397,15 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Turn("a", "b", "c", "a", ())
 
+    @pytest.mark.parametrize(
+        "cues", [("x",), [CueKind.END_SILENCE], "end_silence", (CueKind.END_SILENCE, "question:domain")], ids=repr
+    )
+    def test_cues_must_be_a_tuple_of_cue_kinds(self, cues):
+        with pytest.raises(ValueError, match="^cues must be a tuple of CueKind members"):
+            Turn("a", "b", "a", "a", cues)
+        with pytest.raises(ValueError, match="^duplicate cue in turn$"):
+            Turn("a", "b", "a", "a", (CueKind.END_SILENCE,) * 2)
+
     def test_dialogue_validation(self):
         t1 = Turn("a", "b", "a", "a", ())
         with pytest.raises(ValueError, match="alternate"):
@@ -605,13 +614,20 @@ _BOTH = {spec.kind for spec in canonical_specs() if spec.effect is CueEffect.BOT
 
 
 def straight_points(dialogue: Dialogue) -> list[tuple]:
-    """Each point as track reads it, derived turn by turn from TABLE_INDEX."""
+    """Each point as track and the analysis passes read it, derived turn by turn from TABLE_INDEX."""
     points = []
     for t in range(len(dialogue.turns) - 1):
         turn, nxt = dialogue.turns[t], dialogue.turns[t + 1]
         task = tuple(TABLE_INDEX[k, Dimension.TASK] for k in turn.cues if k in _BOTH)
         dialogue_tables = tuple(TABLE_INDEX[k, Dimension.DIALOGUE] for k in turn.cues)
-        points.append((task, dialogue_tables, nxt.ti_holder == turn.speaker, nxt.di_holder == turn.speaker))
+        key = (
+            (nxt.ti_holder == turn.ti_holder)
+            + 2 * (nxt.di_holder == turn.di_holder)
+            + 4 * (turn.ti_holder == turn.speaker)
+            + 8 * (turn.di_holder == turn.speaker)
+            + 16 * sum(2**i for i in dialogue_tables)
+        )
+        points.append((task, dialogue_tables, nxt.ti_holder == turn.speaker, nxt.di_holder == turn.speaker, key))
     return points
 
 
@@ -619,12 +635,7 @@ class TestPoints:
     @settings(max_examples=150, deadline=None)
     @given(generator_configs(), st.integers(0, 2**16))
     def test_points_are_the_straight_derivation(self, config, seed):
-        generated = gen_synthetic(config, seed)
-        parsed = parse_corpus(format_corpus(generated))
-        # Built with the public constructors, one Turn per turn: no turn is shared.
-        constructed = plain_to_corpus(generated.name, [
-            {**d, "agents": dialogue.agents} for d, dialogue in zip(corpus_to_plain(generated), generated.dialogues)
-        ])
+        generated, parsed, constructed = corpus_forms(gen_synthetic(config, seed))
         assert constructed == generated == parsed
         for corpus in (generated, parsed, constructed):
             for dialogue in corpus.dialogues:
@@ -638,18 +649,26 @@ class TestPoints:
         cues = (CueKind.QUESTION_DOMAIN, CueKind.NO_NEW_INFO_PROMPT)
         prompt = TABLE_INDEX[CueKind.NO_NEW_INFO_PROMPT, Dimension.TASK]
         dialogue_tables = tuple(TABLE_INDEX[k, Dimension.DIALOGUE] for k in cues)
-        assert point_table(cues) == (
-            (((prompt,), dialogue_tables, False, False), ((prompt,), dialogue_tables, False, True)),
-            (((prompt,), dialogue_tables, True, False), ((prompt,), dialogue_tables, True, True)),
-        )
-        assert point_table(()) == ((((), (), False, False), ((), (), False, True)), (((), (), True, False), ((), (), True, True)))
+        assert dialogue_tables == (10, 9)
+        mask = (2**10 + 2**9) * 16
+        # [TI now is speaker][DI now is speaker][TI next is speaker][DI next is speaker]; the
+        # key's low bits are TI stays, DI stays, TI now is speaker, DI now is speaker.
+        keys = [[[3, 1], [2, 0]], [[9, 11], [8, 10]]], [[[6, 4], [7, 5]], [[12, 14], [13, 15]]]
+        for ti_now, di_now, ti, di in itertools.product((False, True), repeat=4):
+            key = keys[ti_now][di_now][ti][di]
+            assert point_table(cues)[ti_now][di_now][ti][di] == ((prompt,), dialogue_tables, ti, di, mask + key)
+            assert point_table(())[ti_now][di_now][ti][di] == ((), (), ti, di, key)
 
     def test_derived_field_takes_no_part_in_equality_or_repr(self):
         turn = Turn("a", "b", "a", "b", (CueKind.END_SILENCE,))
         assert repr(turn) == "Turn(speaker='a', hearer='b', ti_holder='a', di_holder='b', cues=(<CueKind.END_SILENCE: 'end_silence'>,))"
-        assert turn.point_table == point_table(turn.cues)
+        # The sub-table for the turn's holders: TI with its speaker, DI with its hearer.
+        assert turn.point_table == point_table(turn.cues)[True][False]
         changed = dataclasses.replace(turn, cues=(CueKind.QUESTION_DOMAIN, CueKind.SUBOPTIMALITY))
-        assert changed.point_table == point_table((CueKind.QUESTION_DOMAIN, CueKind.SUBOPTIMALITY))
+        assert changed.point_table == point_table((CueKind.QUESTION_DOMAIN, CueKind.SUBOPTIMALITY))[True][False]
+        for ti, di in itertools.product("ab", repeat=2):
+            moved = dataclasses.replace(turn, ti_holder=ti, di_holder=di)
+            assert moved.point_table == point_table(turn.cues)[ti == "a"][di == "a"]
         assert dataclasses.replace(changed, cues=turn.cues) == turn
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(turn, point_table=point_table(()))

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import initrack
 
-from initrack.corpus import GeneratorConfig, gen_synthetic
-from initrack.cues import CueKind, Dimension, format_model, init_model
+from initrack.corpus import Corpus, GeneratorConfig, gen_synthetic
+from initrack.cues import CueKind, Dimension, canonical_specs, format_model, init_model
 from initrack.evalstats import (
     ComparisonRow,
     CochranQResult,
@@ -38,7 +38,7 @@ from initrack.evalstats import (
 from initrack.evidence import Role
 from initrack.tracker import AdjustmentMethod, TrackerConfig, TurnRecord, track, train
 
-from conftest import make_corpus, make_dialogue, synthetic_corpora
+from conftest import corpus_forms, generator_configs, make_corpus, make_dialogue, synthetic_corpora
 
 
 def _mixed_corpus(seed=21):
@@ -376,6 +376,74 @@ class TestErrorReport:
         lines = text.strip().split("\n")
         assert lines[0] == "cue,dim,shift_err,shift_tot,noshift_err,noshift_tot"
         assert len(lines) == 1 + 28
+
+
+def recount_baseline(corpus) -> tuple[bytes, bytes, bytes, bytes]:
+    """The baseline's four vectors, walked turn by turn."""
+    ti_ok, di_ok, ti_speaker, di_speaker = [], [], [], []
+    for dialogue in corpus.dialogues:
+        for turn, nxt in zip(dialogue.turns, dialogue.turns[1:]):
+            ti_ok.append(nxt.ti_holder == turn.ti_holder)
+            di_ok.append(nxt.di_holder == turn.di_holder)
+            ti_speaker.append(turn.ti_holder == turn.speaker)
+            di_speaker.append(turn.di_holder == turn.speaker)
+    return bytes(ti_ok), bytes(di_ok), bytes(ti_speaker), bytes(di_speaker)
+
+
+def recount_errors(run: RunResult) -> list:
+    """The error report's cells in order, each (kind, dim, shift errors, shift total,
+    no-shift errors, no-shift total), walked turn by turn over the run's dialogues."""
+    cells = {(spec.kind, dim): [0, 0, 0, 0] for spec in canonical_specs() for dim in (Dimension.TASK, Dimension.DIALOGUE)}
+    k = 0
+    for dialogue in run.dialogues:
+        for turn, nxt in zip(dialogue.turns, dialogue.turns[1:]):
+            for kind in turn.cues:
+                for dim, now, then, ok in ((Dimension.TASK, turn.ti_holder, nxt.ti_holder, run.ti_ok[k]),
+                                           (Dimension.DIALOGUE, turn.di_holder, nxt.di_holder, run.di_ok[k])):
+                    cell = cells[kind, dim]
+                    at = 0 if then != now else 2
+                    cell[at] += not ok
+                    cell[at + 1] += 1
+            k += 1
+    assert k == run.predictions
+    return [(kind, dim, *cell) for (kind, dim), cell in cells.items()]
+
+
+class TestAgainstRecount:
+    @settings(max_examples=80, deadline=None)
+    @given(generator_configs(), st.integers(0, 2**16), st.sampled_from(list(AdjustmentMethod)), st.sampled_from([0.1, 0.35]))
+    def test_analysis_passes_equal_the_recount(self, config, seed, method, delta):
+        tracker_config = TrackerConfig(delta=delta, method=method)
+        for corpus in corpus_forms(gen_synthetic(config, seed)):
+            baseline = baseline_run(corpus)
+            assert (baseline.ti_ok, baseline.di_ok, baseline.ti_speaker, baseline.di_speaker) == recount_baseline(corpus)
+            model = init_model()
+            runs = {"baseline": lambda: baseline, "train": lambda: train(corpus, tracker_config, model).run,
+                    "frozen": lambda: evaluate(corpus, model, tracker_config),
+                    "closed-loop": lambda: evaluate(corpus, model, tracker_config, teacher_forcing=False),
+                    "cross-validated": lambda: cross_validate(corpus, tracker_config).aggregate}
+            for name, call in runs.items():
+                try:
+                    run = call()
+                except ValueError:  # a failed combination, or one pair group to cross-validate
+                    continue
+                report = error_report(run, corpus)
+                cells = [(kind, dim, c.shift_errors, c.shift_total, c.noshift_errors, c.noshift_total)
+                         for (kind, dim), c in report.cells.items()]
+                assert cells == recount_errors(run), name
+
+    def test_short_vectors_raise(self):
+        corpus = _mixed_corpus()
+        run = baseline_run(corpus)
+        for field in ("ti_ok", "di_ok"):
+            short = dataclasses.replace(run, **{field: getattr(run, field)[:-1]})
+            with pytest.raises(ValueError):
+                error_report(short, corpus)
+        # More dialogues than the vectors cover: the corpus check passes on the first dialogue alone.
+        first = Corpus(corpus.name, corpus.dialogues[:1])
+        vectors = [v[:len(corpus.dialogues[0].turns) - 1] for v in (run.ti_ok, run.di_ok, run.ti_speaker, run.di_speaker)]
+        with pytest.raises(ValueError, match="outcome bytes"):
+            error_report(RunResult(corpus.dialogues, *vectors), first)
 
 
 def _run_with(correct: list[bool]) -> RunResult:
