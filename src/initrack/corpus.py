@@ -52,8 +52,7 @@ class Turn:
             raise ValueError(f"cues must be a tuple of CueKind members, got {self.cues!r}")
         if len(set(self.cues)) != len(self.cues):
             raise ValueError("duplicate cue in turn")
-        table = point_table(self.cues)[self.ti_holder == self.speaker][self.di_holder == self.speaker]
-        object.__setattr__(self, "point_table", table)
+        object.__setattr__(self, "point_table", point_table(self.cues)[self.ti_holder == self.speaker][self.di_holder == self.speaker])
 
     @classmethod
     def _prechecked(cls, speaker: str, hearer: str, ti_holder: str, di_holder: str, cues: tuple[CueKind, ...], table: CueTable | None = None) -> Turn:

@@ -153,8 +153,6 @@ TABLE_INDEX = {key: i for i, key in enumerate(TABLES)}
 Point = tuple[tuple[int, ...], tuple[int, ...], bool, bool, int]
 PointTable = tuple[tuple[Point, Point], tuple[Point, Point]]
 CueTable = tuple[tuple[PointTable, PointTable], tuple[PointTable, PointTable]]
-
-
 # Per entry of a point table, in index order: TI and DI next is speaker, and the key's low bits.
 _ENTRIES = [(ti, di, (ti == ti_now) | (di == di_now) << 1 | ti_now << 2 | di_now << 3)
             for ti_now in (False, True) for di_now in (False, True) for ti in (False, True) for di in (False, True)]
@@ -162,16 +160,14 @@ _ENTRIES = [(ti, di, (ti == ti_now) | (di == di_now) << 1 | ti_now << 2 | di_now
 
 @lru_cache(maxsize=4096)
 def point_table(cues: tuple[CueKind, ...]) -> CueTable:
-    """The 16 points a turn with `cues` can make, as
-    [TI now is speaker][DI now is speaker][TI next is speaker][DI next is speaker]."""
+    """The 16 points a turn with `cues` can make, as [TI now][DI now][TI next][DI next] is speaker."""
     task = tuple(TABLE_INDEX[k, Dimension.TASK] for k in cues if (k, Dimension.TASK) in TABLE_INDEX)
     dialogue = tuple(TABLE_INDEX[k, Dimension.DIALOGUE] for k in cues)
     mask = sum(1 << i for i in dialogue) << 4
     table = [(task, dialogue, ti, di, mask | low) for ti, di, low in _ENTRIES]
-    # Built flat and paired up: nested generators made a fresh process's first parse slower.
-    for _ in range(3):  # 8 pairs, 4 sub-tables, 2 halves
-        it = iter(table)
-        table = list(zip(it, it))
+    # Paired up flat (8 pairs, 4 sub-tables, 2 halves): nested generators cost a fresh process more.
+    for _ in range(3):
+        table = list(zip(*[iter(table)] * 2))
     return tuple(table)
 
 

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import and_, itemgetter
+from operator import add, and_, itemgetter
 from typing import Hashable, Iterator, Sequence
 
 from .corpus import Corpus, Dialogue, partition_by_pair
@@ -47,6 +47,8 @@ def _keys(dialogues: Sequence[Dialogue]) -> Iterator[int]:
 # Byte translations: a key's low four bits to one of its bits, and a 0/1 byte to its negation.
 _BIT = [bytes((k >> b) & 1 for k in range(256)) for b in range(4)]
 _NOT = bytes([1]) + bytes(255)
+# The cue of each dialogue table, by the table's bit in a point's mask.
+_KIND_OF_BIT = {1 << i: kind for i, (kind, dim) in enumerate(TABLES) if dim is Dimension.DIALOGUE}
 
 
 def baseline_run(corpus: Corpus) -> RunResult:
@@ -145,21 +147,25 @@ def error_report(run: RunResult, corpus: Corpus) -> ErrorReport:
     totals = Counter(keys)
     ti_errors = Counter(compress(keys, run.ti_ok.translate(_NOT)))
     di_errors = Counter(compress(keys, run.di_ok.translate(_NOT)))
-    # Per cue mask, TI and DI: [shift errors, shift total, no-shift errors, no-shift total].
-    sums: dict[int, tuple[list[int], list[int]]] = {}
+    # Per cue mask, TI then DI: shift errors, shift total, no-shift errors, no-shift total.
+    sums: dict[int, list[int]] = {}
     for key, total in totals.items():
         if key >> 4:
-            ti, di = sums.setdefault(key >> 4, ([0] * 4, [0] * 4))
-            for tally, stays, errors in ((ti, key & 1, ti_errors), (di, key >> 1 & 1, di_errors)):
-                tally[2 * stays] += errors[key]
-                tally[2 * stays + 1] += total
-    cells = {(spec.kind, dim): [0] * 4 for spec in canonical_specs() for dim in (Dimension.TASK, Dimension.DIALOGUE)}
-    for mask, (ti, di) in sums.items():
-        # Bit i names dialogue table i, which belongs to one cue.
-        for kind in [TABLES[i][0] for i in range(mask.bit_length()) if mask >> i & 1]:
-            for dim, tally in ((Dimension.TASK, ti), (Dimension.DIALOGUE, di)):
-                cells[kind, dim] = [a + b for a, b in zip(cells[kind, dim], tally)]
-    return ErrorReport({key: ErrorCell(*cell) for key, cell in cells.items()})
+            tally = sums.setdefault(key >> 4, [0] * 8)
+            ti, di = 2 * (key & 1), 4 + (key & 2)
+            tally[ti] += ti_errors[key]
+            tally[ti + 1] += total
+            tally[di] += di_errors[key]
+            tally[di + 1] += total
+    kinds = {spec.kind: [0] * 8 for spec in canonical_specs()}
+    for mask, tally in sums.items():
+        while mask:  # one bit per cue: that of its dialogue table
+            bit = mask & -mask
+            mask ^= bit
+            counts = kinds[_KIND_OF_BIT[bit]]
+            counts[:] = map(add, counts, tally)
+    return ErrorReport({(kind, dim): ErrorCell(*counts[at:at + 4])
+                        for kind, counts in kinds.items() for dim, at in ((Dimension.TASK, 0), (Dimension.DIALOGUE, 4))})
 
 
 def error_report_csv(report: ErrorReport) -> str:
