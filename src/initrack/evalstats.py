@@ -152,7 +152,7 @@ def error_report(run: RunResult, corpus: Corpus) -> ErrorReport:
     for key, total in totals.items():
         if key >> 4:
             tally = sums.setdefault(key >> 4, [0] * 8)
-            ti, di = 2 * (key & 1), 4 + (key & 2)
+            ti, di = 2 * (key & 1), 4 + (key & 2)  # a holder that stays is a no-shift, two places on
             tally[ti] += ti_errors[key]
             tally[ti + 1] += total
             tally[di] += di_errors[key]
