@@ -9,6 +9,7 @@ with INITRACK_CONSOLE=initrack and pytest's --noconftest, so that the
 
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -100,3 +101,95 @@ def test_empty_corpus_exits_3(tmp_path):
     # A corpus with no dialogue has no prediction point: every tracking command exits 3.
     (tmp_path / "empty.dti").write_text("corpus x\n")
     run(tmp_path, "baseline", "--corpus", "empty.dti", status=3)
+
+
+# sha256 of each command's stdout on the README quick-start corpus and model, text then csv.
+FROZEN = ["--corpus", "demo.dti", "--model", "demo.model"]
+PINNED = {
+    "train": (["train", "--corpus", "demo.dti", "--delta", "0.35", "--method", "const-counter"],
+              "8583a41525dc7293e46e1533b8a061cfc52f80b6c241d886f1c21e6d284b83a6",
+              "957bd5e7eb2172a6714afc9cd6bd3433c02f7f13d1551080f54dceacc710071e"),
+    "eval": (["eval", *FROZEN],
+             "519561ea212b9b6cc2053d3edc10911c0d876a51795ec4d0a662554e4e5dfc4f",
+             "33a4196feae46dc63e3e276c657f83ec6de75ce37ecdb382f2e2033df32c5e62"),
+    "eval-closed-loop": (["eval", *FROZEN, "--teacher-forcing", "false"],
+                         "3d17a3fe94601d3e2018a27ed4912167427d9b93b270b70fa6d1232f959bb85c",
+                         "6677938364b4caf96fe31b8bac09f1a61c8a000c30a090fab15352567837cd91"),
+    "xval": (["xval", "--corpus", "demo.dti"],
+             "a72d80042948662b7243a0082152a8ff12f500531d770cad1020539509da5e47",
+             "02fd90aa9f0d612bde430b59a84dae9fe8e5636221133383853d453b47ec45a0"),
+    "compare": (["compare", *FROZEN, "--focus-agent", "a0"],
+                "69f3aab95b836d6894a2700539d6e667a7bcff8e0e07524b4a6f5a77dbef6959",
+                "8607d8c3ae6694df2837f035f56bdde4981d6b00da4cc67faef21600422121ec"),
+    "report-errors": (["report-errors", *FROZEN],
+                      "fb690600603c3c9367fa562d39c4b0b46c02ea3d8d6b4c055829023fff980dd1",
+                      "641026eb8f96a2a90624578c8b81d65c4b0bbecec456e6a5a553b089c04099c5"),
+}
+
+
+def test_quickstart_files(demo):
+    assert sha256((demo / "demo.dti").read_text()) == "e96b617ac63c1ff20203aad3b8fc99b8877a435ec57471bf19fe84a7599d6174"
+    assert sha256((demo / "demo.model").read_text()) == "14092349ad02db4d406a2d7580625f1f0bac5318545b4f82e2c25ab70a6e86eb"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("name", PINNED)
+def test_quickstart_stdout(demo, name, fmt):
+    argv, text, csv = PINNED[name]
+    assert sha256(run(demo, *argv, "--format", fmt)) == (text if fmt == "text" else csv)
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "41c4cf64d4438c1976513143569ea353872170181b379e81061241c53825637a"),
+    ("csv", "73e992eeb44e33457e95c7dc0e6d514fdf6a5ef85b5b7d6c9c6b38de043248d7"),
+])
+def test_replica_distribution(tmp_path, fmt, digest):
+    out = run(tmp_path, "distribution", "--corpus", str(REPLICA_PATH), "--focus-agent", "system", "--format", fmt)
+    assert sha256(out) == digest
+
+
+def test_out_file_holds_the_stdout(demo):
+    argv = PINNED["compare"][0]
+    assert run(demo, *argv, "--out", "compare.txt") == ""
+    assert (demo / "compare.txt").read_text() == run(demo, *argv)
+
+
+# Each subcommand's options, as its --help lists them: the flag and its metavar
+# or choices.  The layout around them differs between Python versions.
+_TRACKER = ["--delta DELTA", "--method {const,const-counter,var-counter}"]
+_INDEX = ["--default-x DEFAULT_X", "--reset-strength RESET_STRENGTH"]
+_OUTPUT = ["--out OUT", "--format {text,csv}"]
+_FROZEN = ["--corpus CORPUS", "--model MODEL", "--teacher-forcing BOOL", *_INDEX, *_OUTPUT]
+OPTIONS = {
+    "validate": ["--corpus CORPUS"],
+    "distribution": ["--corpus CORPUS", "--focus-agent FOCUS_AGENT", *_OUTPUT],
+    "train": ["--corpus CORPUS", "--model MODEL", *_TRACKER, *_INDEX, *_OUTPUT],
+    "eval": _FROZEN,
+    "baseline": ["--corpus CORPUS", *_OUTPUT],
+    "xval": ["--corpus CORPUS", "--teacher-forcing BOOL", *_TRACKER, *_INDEX, *_OUTPUT],
+    "sweep": ["--corpus CORPUS", "--sweep-from SWEEP_FROM", "--sweep-to SWEEP_TO", "--sweep-step SWEEP_STEP",
+              "--xval", *_TRACKER[1:], *_INDEX, *_OUTPUT],
+    "report-errors": _FROZEN,
+    "compare": [*_FROZEN[:2], "--focus-agent FOCUS_AGENT", *_FROZEN[2:]],
+    "kappa": ["--ratings RATINGS", *_OUTPUT],
+    "cochran-q": ["--outcomes OUTCOMES", *_OUTPUT],
+    "gen-synthetic": ["--seed SEED", "--name NAME", "--dialogues DIALOGUES", "--turns TURNS", "--pairs PAIRS",
+                      "--cue-emit KIND=P", "--cue-shift KIND=P", "--base-shift-task BASE_SHIFT_TASK",
+                      "--base-shift-dialogue BASE_SHIFT_DIALOGUE", "--out OUT"],
+}
+
+
+def _section(help_text: str, heading: str) -> str:
+    return help_text.split(f"\n{heading}:\n", 1)[1].split("\n\n", 1)[0]
+
+
+def test_commands_in_help(tmp_path):
+    out = run(tmp_path, "--help")
+    assert re.findall(r"^    (\S+)", _section(out, "positional arguments"), re.M) == list(OPTIONS)
+    assert re.findall(r"^  (-\S.*?)(?:  |$)", _section(out, "options"), re.M) == ["-h, --help"]
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_options_in_help(tmp_path, command):
+    options = re.findall(r"^  (-h, --help|--[\w-]+(?: \S+)?)", _section(run(tmp_path, command, "--help"), "options"), re.M)
+    assert options == ["-h, --help", *OPTIONS[command]]
