@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .corpus import (
     Corpus,
@@ -73,26 +74,6 @@ def _parse_bool(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
 
 
-def _add_tracker_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--delta", type=float, default=TrackerConfig.delta, help="adjustment increment (default %(default)s)")
-    _add_method_flags(parser)
-
-
-def _add_method_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--method",
-        choices=[m.value for m in AdjustmentMethod],
-        default=TrackerConfig.method.value,
-        help="bpa adjustment method (default %(default)s)",
-    )
-    _add_index_flags(parser)
-
-
-def _add_index_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--default-x", type=float, default=TrackerConfig.default_x, help="default speaker mass of the initiative indices")
-    parser.add_argument("--reset-strength", type=float, default=TrackerConfig.reset_strength, help="index mass put on the actual holder after an error")
-
-
 def _config(args: argparse.Namespace) -> TrackerConfig:
     """The run's settings; a command without --delta or --method gets `TrackerConfig`'s."""
     return TrackerConfig(
@@ -103,110 +84,56 @@ def _config(args: argparse.Namespace) -> TrackerConfig:
     )
 
 
-def _add_common_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", type=Path, default=None, help="write results here instead of stdout")
-    parser.add_argument("--format", choices=["text", "csv"], default="text", help="output format")
+def _flag(name: str, **options) -> tuple[str, dict]:
+    return name, options
+
+
+# Flag groups, each stated once; a subcommand lists its flags in --help order.
+_CORPUS = _flag("--corpus", type=Path, required=True)
+_MODEL = _flag("--model", type=Path, required=True)
+_TEACHER_FORCING = _flag("--teacher-forcing", type=_parse_bool, default=True, metavar="BOOL")
+_DELTA = _flag("--delta", type=float, default=TrackerConfig.delta, help="adjustment increment (default %(default)s)")
+_METHOD = _flag(
+    "--method",
+    choices=[m.value for m in AdjustmentMethod],
+    default=TrackerConfig.method.value,
+    help="bpa adjustment method (default %(default)s)",
+)
+_INDEX = (
+    _flag("--default-x", type=float, default=TrackerConfig.default_x, help="default speaker mass of the initiative indices"),
+    _flag("--reset-strength", type=float, default=TrackerConfig.reset_strength, help="index mass put on the actual holder after an error"),
+)
+_OUTPUT = (
+    _flag("--out", type=Path, default=None, help="write results here instead of stdout"),
+    _flag("--format", choices=["text", "csv"], default="text", help="output format"),
+)
+_FROZEN = (_CORPUS, _MODEL, _TEACHER_FORCING, *_INDEX, *_OUTPUT)
+
+# A command's handler returns the text it prints.
+_Handler = Callable[[argparse.Namespace], str]
+# (name, summary, flags, handler) of each subcommand, in --help order.
+_COMMANDS: list[tuple[str, str, tuple[tuple[str, dict], ...], _Handler]] = []
+
+
+def _command(name: str, summary: str, *flags: tuple[str, dict]) -> Callable[[_Handler], _Handler]:
+    """Register the decorated handler as subcommand `name`, taking `flags`."""
+
+    def register(handler: _Handler) -> _Handler:
+        _COMMANDS.append((name, summary, flags, handler))
+        return handler
+
+    return register
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="initrack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-
-    p = sub.add_parser("validate", help="parse a corpus file and report problems")
-    p.add_argument("--corpus", type=Path, required=True)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("distribution", help="joint task/dialogue initiative distribution")
-    p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--focus-agent", required=True)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_distribution)
-
-    p = sub.add_parser("train", help="train cue mass functions on a corpus")
-    p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--model", type=Path, default=None, help="write the trained model here")
-    _add_tracker_flags(p)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a frozen model on a corpus")
-    p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--teacher-forcing", type=_parse_bool, default=True, metavar="BOOL")
-    _add_index_flags(p)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("baseline", help="keep-the-holder baseline accuracies")
-    p.add_argument("--corpus", type=Path, required=True)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_baseline)
-
-    p = sub.add_parser("xval", help="leave-one-pair-out cross-validation")
-    p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--teacher-forcing", type=_parse_bool, default=True, metavar="BOOL")
-    _add_tracker_flags(p)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_xval)
-
-    p = sub.add_parser("sweep", help="accuracy table over a grid of delta values")
-    p.add_argument("--corpus", type=Path, required=True)
-    for flag, default in zip(("--sweep-from", "--sweep-to", "--sweep-step"), DEFAULT_GRID):
-        p.add_argument(flag, type=float, default=default)
-    p.add_argument("--xval", action="store_true", help="score each delta by cross-validation")
-    _add_method_flags(p)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("report-errors", help="per-cue shift/no-shift error tallies")
-    p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--teacher-forcing", type=_parse_bool, default=True, metavar="BOOL")
-    _add_index_flags(p)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_report_errors)
-
-    p = sub.add_parser("compare", help="baseline vs trained model across corpora")
-    p.add_argument("--corpus", type=Path, action="append", required=True, help="repeatable")
-    p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--focus-agent", required=True, help="expert agent for the control counts")
-    p.add_argument("--teacher-forcing", type=_parse_bool, default=True, metavar="BOOL")
-    _add_index_flags(p)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("kappa", help="multi-rater agreement from a ratings file")
-    p.add_argument("--ratings", type=Path, required=True, help="one line per item, one category token per rater")
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_kappa)
-
-    p = sub.add_parser("cochran-q", help="Cochran's Q over matched binary outcomes")
-    p.add_argument("--outcomes", type=Path, required=True, help="one line per subject, 0/1 per treatment")
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_cochran_q)
-
-    p = sub.add_parser("gen-synthetic", help="generate a seeded synthetic corpus")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--name", default=GeneratorConfig.name)
-    p.add_argument("--dialogues", type=int, default=GeneratorConfig.dialogues)
-    p.add_argument("--turns", type=int, default=GeneratorConfig.turns_per_dialogue)
-    p.add_argument("--pairs", type=int, default=GeneratorConfig.pairs)
-    p.add_argument("--cue-emit", action="append", default=[], metavar="KIND=P", help="repeatable")
-    p.add_argument("--cue-shift", action="append", default=[], metavar="KIND=P", help="repeatable")
-    p.add_argument("--base-shift-task", type=float, default=GeneratorConfig.base_shift_task)
-    p.add_argument("--base-shift-dialogue", type=float, default=GeneratorConfig.base_shift_dialogue)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_gen_synthetic)
-
+    for name, summary, flags, handler in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
-
-
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _accuracy_lines(label_results: list[tuple[str, RunResult]], fmt: str) -> str:
@@ -234,13 +161,26 @@ def _require_points(corpus: Corpus, path: Path) -> Corpus:
     return corpus
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _load_points(path: Path) -> Corpus:
+    """The corpus at `path`, for a command that tracks it."""
+    return _require_points(load_corpus(path), path)
+
+
+def _frozen(args: argparse.Namespace) -> Callable[[Corpus], RunResult]:
+    """A frozen run of the model in --model, loaded once, under the command's settings."""
+    model, config = load_model(args.model), _config(args)
+    return lambda corpus: evaluate(corpus, model, config, teacher_forcing=args.teacher_forcing)
+
+
+@_command("validate", "parse a corpus file and report problems", _CORPUS)
+def _cmd_validate(args: argparse.Namespace) -> str:
     corpus = load_corpus(args.corpus)
-    sys.stdout.write(f"ok: corpus {corpus.name}: {len(corpus.dialogues)} dialogues, {corpus.turn_count} turns\n")
-    return 0
+    return f"ok: corpus {corpus.name}: {len(corpus.dialogues)} dialogues, {corpus.turn_count} turns\n"
 
 
-def _cmd_distribution(args: argparse.Namespace) -> int:
+@_command("distribution", "joint task/dialogue initiative distribution",
+          _CORPUS, _flag("--focus-agent", required=True), *_OUTPUT)
+def _cmd_distribution(args: argparse.Namespace) -> str:
     corpus = load_corpus(args.corpus)
     report = distribution_report(corpus, args.focus_agent)
     cells = report.cells()
@@ -250,82 +190,81 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
         labels = [("focus", "focus"), ("other", "focus"), ("focus", "other"), ("other", "other")]
         for (ti, di), count, pct in zip(labels, cells, raw):
             lines.append(f"{ti},{di},{count},{pct:.6f}")
-        text = "\n".join(lines) + "\n"
-    else:
-        pct = report.rounded_percentages()
-        f = report.focus_agent
-        text = (
-            f"corpus {corpus.name}: {report.total} turns, focus agent {f}\n"
-            f"{'':14}{f'TI={f}':>18}{'TI=other':>18}\n"
-            f"{f'DI={f}':14}{f'{cells[0]} ({pct[0]:.1f}%)':>18}{f'{cells[1]} ({pct[1]:.1f}%)':>18}\n"
-            f"{'DI=other':14}{f'{cells[2]} ({pct[2]:.1f}%)':>18}{f'{cells[3]} ({pct[3]:.1f}%)':>18}\n"
-        )
-    _emit(args, text)
-    return 0
+        return "\n".join(lines) + "\n"
+    pct = report.rounded_percentages()
+    f = report.focus_agent
+    return (
+        f"corpus {corpus.name}: {report.total} turns, focus agent {f}\n"
+        f"{'':14}{f'TI={f}':>18}{'TI=other':>18}\n"
+        f"{f'DI={f}':14}{f'{cells[0]} ({pct[0]:.1f}%)':>18}{f'{cells[1]} ({pct[1]:.1f}%)':>18}\n"
+        f"{'DI=other':14}{f'{cells[2]} ({pct[2]:.1f}%)':>18}{f'{cells[3]} ({pct[3]:.1f}%)':>18}\n"
+    )
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    corpus = _require_points(load_corpus(args.corpus), args.corpus)
-    result = train(corpus, _config(args))
+@_command("train", "train cue mass functions on a corpus",
+          _CORPUS, _flag("--model", type=Path, default=None, help="write the trained model here"),
+          _DELTA, _METHOD, *_INDEX, *_OUTPUT)
+def _cmd_train(args: argparse.Namespace) -> str:
+    result = train(_load_points(args.corpus), _config(args))
     if args.model:
         save_model(result.model, args.model)
         print(f"wrote model to {args.model}", file=sys.stderr)
-    _emit(args, _accuracy_lines([("train", result.run)], args.format))
-    return 0
+    return _accuracy_lines([("train", result.run)], args.format)
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    corpus = _require_points(load_corpus(args.corpus), args.corpus)
-    model = load_model(args.model)
-    result = evaluate(corpus, model, _config(args), teacher_forcing=args.teacher_forcing)
-    _emit(args, _accuracy_lines([("eval", result)], args.format))
-    return 0
+@_command("eval", "evaluate a frozen model on a corpus", *_FROZEN)
+def _cmd_eval(args: argparse.Namespace) -> str:
+    corpus = _load_points(args.corpus)
+    return _accuracy_lines([("eval", _frozen(args)(corpus))], args.format)
 
 
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    corpus = _require_points(load_corpus(args.corpus), args.corpus)
-    result = baseline_run(corpus)
-    _emit(args, _accuracy_lines([("baseline", result)], args.format))
-    return 0
+@_command("baseline", "keep-the-holder baseline accuracies", _CORPUS, *_OUTPUT)
+def _cmd_baseline(args: argparse.Namespace) -> str:
+    return _accuracy_lines([("baseline", baseline_run(_load_points(args.corpus)))], args.format)
 
 
-def _cmd_xval(args: argparse.Namespace) -> int:
-    corpus = _require_points(load_corpus(args.corpus), args.corpus)
+@_command("xval", "leave-one-pair-out cross-validation",
+          _CORPUS, _TEACHER_FORCING, _DELTA, _METHOD, *_INDEX, *_OUTPUT)
+def _cmd_xval(args: argparse.Namespace) -> str:
+    corpus = _load_points(args.corpus)
     for _, held_out in partition_by_pair(corpus):
         _require_points(held_out, args.corpus)
     xval = cross_validate(corpus, _config(args), teacher_forcing=args.teacher_forcing)
     if args.format == "csv":
-        _emit(args, fold_table_csv(xval))
-    else:
-        rows = [(f"fold {f.pair[0]}|{f.pair[1]}", f.result) for f in xval.folds]
-        rows.append(("aggregate", xval.aggregate))
-        _emit(args, _accuracy_lines(rows, "text"))
-    return 0
+        return fold_table_csv(xval)
+    rows = [(f"fold {f.pair[0]}|{f.pair[1]}", f.result) for f in xval.folds]
+    rows.append(("aggregate", xval.aggregate))
+    return _accuracy_lines(rows, "text")
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    corpus = _require_points(load_corpus(args.corpus), args.corpus)
+@_command("sweep", "accuracy table over a grid of delta values",
+          _CORPUS,
+          *(_flag(flag, type=float, default=default)
+            for flag, default in zip(("--sweep-from", "--sweep-to", "--sweep-step"), DEFAULT_GRID)),
+          _flag("--xval", action="store_true", help="score each delta by cross-validation"),
+          _METHOD, *_INDEX, *_OUTPUT)
+def _cmd_sweep(args: argparse.Namespace) -> str:
+    corpus = _load_points(args.corpus)
     grid = delta_grid(args.sweep_from, args.sweep_to, args.sweep_step)
-    rows = sweep(corpus, _config(args), grid, cross_validated=args.xval)
-    _emit(args, sweep_csv(rows))
-    return 0
+    return sweep_csv(sweep(corpus, _config(args), grid, cross_validated=args.xval))
 
 
-def _cmd_report_errors(args: argparse.Namespace) -> int:
-    corpus = _require_points(load_corpus(args.corpus), args.corpus)
-    model = load_model(args.model)
-    run = evaluate(corpus, model, _config(args), teacher_forcing=args.teacher_forcing)
-    report = error_report(run, corpus)
-    _emit(args, error_report_csv(report) if args.format == "csv" else error_report_text(report))
-    return 0
+@_command("report-errors", "per-cue shift/no-shift error tallies", *_FROZEN)
+def _cmd_report_errors(args: argparse.Namespace) -> str:
+    corpus = _load_points(args.corpus)
+    report = error_report(_frozen(args)(corpus), corpus)
+    return error_report_csv(report) if args.format == "csv" else error_report_text(report)
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    config = _config(args)
+@_command("compare", "baseline vs trained model across corpora",
+          _flag("--corpus", type=Path, action="append", required=True, help="repeatable"), _MODEL,
+          _flag("--focus-agent", required=True, help="expert agent for the control counts"),
+          *_FROZEN[2:])
+def _cmd_compare(args: argparse.Namespace) -> str:
+    frozen = _frozen(args)
     rows = []
     for path in args.corpus:
-        corpus = _require_points(load_corpus(path), path)
+        corpus = _load_points(path)
         if not any(args.focus_agent in d.agents for d in corpus.dialogues):
             raise ValueError(f"agent {args.focus_agent!r} takes part in no dialogue of corpus {corpus.name!r} ({path})")
         expert_ti = sum(t.ti_holder == args.focus_agent for d in corpus.dialogues for t in d.turns)
@@ -334,14 +273,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             ComparisonRow(
                 corpus_name=corpus.name,
                 baseline=baseline_run(corpus),
-                trained=evaluate(corpus, model, config, teacher_forcing=args.teacher_forcing),
+                trained=frozen(corpus),
                 expert_ti_turns=expert_ti,
                 expert_di_turns=expert_di,
                 total_turns=corpus.turn_count,
             )
         )
-    _emit(args, comparison_csv(rows) if args.format == "csv" else comparison_text(rows))
-    return 0
+    return comparison_csv(rows) if args.format == "csv" else comparison_text(rows)
 
 
 def _data_lines(path: Path) -> Iterator[str]:
@@ -353,20 +291,20 @@ def _data_lines(path: Path) -> Iterator[str]:
                 yield line
 
 
-def _cmd_kappa(args: argparse.Namespace) -> int:
+@_command("kappa", "multi-rater agreement from a ratings file",
+          _flag("--ratings", type=Path, required=True, help="one line per item, one category token per rater"), *_OUTPUT)
+def _cmd_kappa(args: argparse.Namespace) -> str:
     value = kappa([line.split() for line in _data_lines(args.ratings)])
-    _emit(args, f"kappa,{value:.6f}\n" if args.format == "csv" else f"kappa = {value:.6f}\n")
-    return 0
+    return f"kappa,{value:.6f}\n" if args.format == "csv" else f"kappa = {value:.6f}\n"
 
 
-def _cmd_cochran_q(args: argparse.Namespace) -> int:
+@_command("cochran-q", "Cochran's Q over matched binary outcomes",
+          _flag("--outcomes", type=Path, required=True, help="one line per subject, 0/1 per treatment"), *_OUTPUT)
+def _cmd_cochran_q(args: argparse.Namespace) -> str:
     result = cochran_q([[int(tok) for tok in line.split()] for line in _data_lines(args.outcomes)])
     if args.format == "csv":
-        text = f"q,df,p\n{result.statistic:.6f},{result.df},{result.p_value:.6g}\n"
-    else:
-        text = f"Q = {result.statistic:.6f}, df = {result.df}, p = {result.p_value:.6g}\n"
-    _emit(args, text)
-    return 0
+        return f"q,df,p\n{result.statistic:.6f},{result.df},{result.p_value:.6g}\n"
+    return f"Q = {result.statistic:.6f}, df = {result.df}, p = {result.p_value:.6g}\n"
 
 
 def _parse_prob_table(entries: list[str]) -> dict:
@@ -379,7 +317,20 @@ def _parse_prob_table(entries: list[str]) -> dict:
     return table
 
 
-def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
+@_command(
+    "gen-synthetic", "generate a seeded synthetic corpus",
+    _flag("--seed", type=int, default=0),
+    _flag("--name", default=GeneratorConfig.name),
+    _flag("--dialogues", type=int, default=GeneratorConfig.dialogues),
+    _flag("--turns", type=int, default=GeneratorConfig.turns_per_dialogue),
+    _flag("--pairs", type=int, default=GeneratorConfig.pairs),
+    _flag("--cue-emit", action="append", default=[], metavar="KIND=P", help="repeatable"),
+    _flag("--cue-shift", action="append", default=[], metavar="KIND=P", help="repeatable"),
+    _flag("--base-shift-task", type=float, default=GeneratorConfig.base_shift_task),
+    _flag("--base-shift-dialogue", type=float, default=GeneratorConfig.base_shift_dialogue),
+    _flag("--out", type=Path, default=None),
+)
+def _cmd_gen_synthetic(args: argparse.Namespace) -> str:
     config = GeneratorConfig(
         name=args.name,
         dialogues=args.dialogues,
@@ -390,9 +341,11 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
         base_shift_task=args.base_shift_task,
         base_shift_dialogue=args.base_shift_dialogue,
     )
-    corpus = gen_synthetic(config, args.seed)
-    _emit(args, format_corpus(corpus))
-    return 0
+    return format_corpus(gen_synthetic(config, args.seed))
+
+
+def _show_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -401,17 +354,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
-    try:
-        return args.func(args)
-    except DegenerateStatisticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DEGENERATE_EXIT
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return VALIDATION_EXIT
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
-        return INTERNAL_EXIT
+    # The command's text is written only once it has returned, so a failing
+    # command leaves stdout and its --out file untouched.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            text = args.func(args)
+            if getattr(args, "out", None):
+                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+            return 0
+        except DegenerateStatisticError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return DEGENERATE_EXIT
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return VALIDATION_EXIT
+        except Exception as exc:  # pragma: no cover - defensive
+            print(f"internal error: {exc}", file=sys.stderr)
+            return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

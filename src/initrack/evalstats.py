@@ -168,28 +168,27 @@ def error_report(run: RunResult, corpus: Corpus) -> ErrorReport:
                         for kind, counts in kinds.items() for dim, at in ((Dimension.TASK, 0), (Dimension.DIALOGUE, 4))})
 
 
-def error_report_csv(report: ErrorReport) -> str:
-    lines = ["cue,dim,shift_err,shift_tot,noshift_err,noshift_tot"]
+def _error_cells(report: ErrorReport) -> Iterator[tuple[CueKind, Dimension, ErrorCell]]:
+    """Each (cue, dimension) cell of the report, in canonical cue order, task first."""
     for spec in canonical_specs():
         for dim in (Dimension.TASK, Dimension.DIALOGUE):
-            cell = report.cell(spec.kind, dim)
-            lines.append(
-                f"{spec.kind},{dim},{cell.shift_errors},{cell.shift_total},"
-                f"{cell.noshift_errors},{cell.noshift_total}"
-            )
+            yield spec.kind, dim, report.cell(spec.kind, dim)
+
+
+def error_report_csv(report: ErrorReport) -> str:
+    lines = ["cue,dim,shift_err,shift_tot,noshift_err,noshift_tot"]
+    for kind, dim, cell in _error_cells(report):
+        lines.append(f"{kind},{dim},{cell.shift_errors},{cell.shift_total},{cell.noshift_errors},{cell.noshift_total}")
     return "\n".join(lines) + "\n"
 
 
 def error_report_text(report: ErrorReport) -> str:
     lines = [f"{'cue':32}{'dim':10}{'shift err/tot':>14}{'no-shift err/tot':>18}"]
-    for spec in canonical_specs():
-        for dim in (Dimension.TASK, Dimension.DIALOGUE):
-            cell = report.cell(spec.kind, dim)
-            if cell.shift_total == 0 and cell.noshift_total == 0:
-                continue
+    for kind, dim, cell in _error_cells(report):
+        if cell.shift_total or cell.noshift_total:
             shift = f"{cell.shift_errors}/{cell.shift_total}"
             noshift = f"{cell.noshift_errors}/{cell.noshift_total}"
-            lines.append(f"{str(spec.kind):32}{str(dim):10}{shift:>14}{noshift:>18}")
+            lines.append(f"{str(kind):32}{str(dim):10}{shift:>14}{noshift:>18}")
     return "\n".join(lines) + "\n"
 
 
@@ -211,18 +210,22 @@ def _pct(count: int, total: int) -> float:
     return 100.0 * count / total if total else float("nan")
 
 
+def _comparison_cells(rows: Sequence[ComparisonRow]) -> Iterator[tuple[ComparisonRow, str, int, tuple, tuple]]:
+    """Per row, task then dialogue: the row, the dimension, its expert turns,
+    and the baseline's and the trained model's (correct, accuracy)."""
+    for row in rows:
+        b, t = row.baseline, row.trained
+        yield row, "task", row.expert_ti_turns, (b.task_correct, b.task_accuracy), (t.task_correct, t.task_accuracy)
+        yield row, "dialogue", row.expert_di_turns, (b.dialogue_correct, b.dialogue_accuracy), (t.dialogue_correct, t.dialogue_accuracy)
+
+
 def comparison_csv(rows: Sequence[ComparisonRow]) -> str:
     lines = ["corpus,dim,expert_pct,baseline_pct,trained_pct,improvement_pts"]
-    for row in rows:
-        for dim, expert, base, trained in (
-            ("task", row.expert_ti_turns, row.baseline.task_accuracy, row.trained.task_accuracy),
-            ("dialogue", row.expert_di_turns, row.baseline.dialogue_accuracy, row.trained.dialogue_accuracy),
-        ):
-            expert_pct = _pct(expert, row.total_turns)
-            lines.append(
-                f"{row.corpus_name},{dim},{expert_pct:.6f},{100 * base:.6f},{100 * trained:.6f},"
-                f"{100 * (trained - base):.6f}"
-            )
+    for row, dim, expert, (_, base), (_, trained) in _comparison_cells(rows):
+        lines.append(
+            f"{row.corpus_name},{dim},{_pct(expert, row.total_turns):.6f},{100 * base:.6f},{100 * trained:.6f},"
+            f"{100 * (trained - base):.6f}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -230,25 +233,17 @@ def comparison_text(rows: Sequence[ComparisonRow]) -> str:
     """Human-readable comparison; improvements are differences of the
     one-decimal percentages, matching how such tables are usually printed."""
     lines = [f"{'corpus':20}{'dim':10}{'expert':>16}{'baseline':>18}{'trained':>18}{'improvement':>13}"]
-    for row in rows:
-        for dim, expert, base_res, trained_res in (
-            ("task", row.expert_ti_turns, (row.baseline.task_correct, row.baseline.task_accuracy),
-             (row.trained.task_correct, row.trained.task_accuracy)),
-            ("dialogue", row.expert_di_turns, (row.baseline.dialogue_correct, row.baseline.dialogue_accuracy),
-             (row.trained.dialogue_correct, row.trained.dialogue_accuracy)),
-        ):
-            expert_pct = round(_pct(expert, row.total_turns), 1)
-            base_pct = round(100 * base_res[1], 1)
-            trained_pct = round(100 * trained_res[1], 1)
-            improvement = trained_pct - base_pct
-            points = row.baseline.predictions
-            lines.append(
-                f"{row.corpus_name:20}{dim:10}"
-                f"{f'{expert} ({expert_pct:.1f}%)':>16}"
-                f"{f'{base_res[0]}/{points} ({base_pct:.1f}%)':>18}"
-                f"{f'{trained_res[0]}/{points} ({trained_pct:.1f}%)':>18}"
-                f"{improvement:>13.1f}"
-            )
+    for row, dim, expert, (base_correct, base), (trained_correct, trained) in _comparison_cells(rows):
+        expert_pct = round(_pct(expert, row.total_turns), 1)
+        base_pct, trained_pct = round(100 * base, 1), round(100 * trained, 1)
+        points = row.baseline.predictions
+        lines.append(
+            f"{row.corpus_name:20}{dim:10}"
+            f"{f'{expert} ({expert_pct:.1f}%)':>16}"
+            f"{f'{base_correct}/{points} ({base_pct:.1f}%)':>18}"
+            f"{f'{trained_correct}/{points} ({trained_pct:.1f}%)':>18}"
+            f"{trained_pct - base_pct:>13.1f}"
+        )
     return "\n".join(lines) + "\n"
 
 
