@@ -304,11 +304,9 @@ def track(
     """
     tables, counters = model.masses, model.counters
     counting = learn and config.method is not AdjustmentMethod.CONSTANT_INCREMENT
-    # The start index and the resets onto the speaker and the hearer, as
-    # `bayesian(x)`, `bayesian(r)` and `bayesian(1 - r)` give them: the hearer
-    # reset keeps 1 - (1 - r), which is not always r.
+    # The start index and the resets onto the speaker and the hearer.
     x, r = config.default_x, config.reset_strength
-    index0, reset_s, reset_h = (x, 1.0 - x, 0.0), (r, 1.0 - r, 0.0), (1.0 - r, 1.0 - (1.0 - r), 0.0)
+    index0, reset_s, reset_h = (x, 1.0 - x, 0.0), (r, 1.0 - r, 0.0), (1.0 - r, r, 0.0)
     ti_ok, di_ok, ti_speaker, di_speaker = bytearray(), bytearray(), bytearray(), bytearray()
     ti_ok_append, di_ok_append = ti_ok.append, di_ok.append
     ti_speaker_append, di_speaker_append = ti_speaker.append, di_speaker.append

@@ -340,11 +340,7 @@ class TestTrain:
 
 
 def assert_train_matches_oracle(corpus, method, delta, tol=1e-12, *, default_x=0.5, reset_strength=0.75):
-    """`train` and the oracle agree on the trace and, within `tol`, on the tables.
-
-    The oracle re-anchors on the hearer with `reset_strength` itself, `track`
-    with `1 - (1 - reset_strength)`, so masses may differ by rounding.
-    """
+    """`train` and the oracle agree on the trace and, within `tol`, on the tables."""
     config = TrackerConfig(delta=delta, method=method, default_x=default_x, reset_strength=reset_strength)
     plain = corpus_to_plain(corpus)
     try:
@@ -419,15 +415,12 @@ class TestOracleAgreement:
         synthetic_corpora(),
         st.sampled_from(list(AdjustmentMethod)),
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        st.sampled_from([{}, {"default_x": 0.3, "reset_strength": 0.6}]),
+        st.sampled_from([{}, {"default_x": 0.3, "reset_strength": 0.6}, {"default_x": 0.3, "reset_strength": 0.1}]),
     )
     def test_train_and_evaluate_match_oracle(self, corpus, method, delta, index):
-        # `index` is empty for the default index settings.  The oracle
-        # re-anchors on the hearer with reset_strength r, `track` with
-        # 1 - (1 - r), which equals r for r >= 0.5.  Below that the two differ
-        # by an ulp, and near total conflict an ulp can turn a completing run
-        # into a failing one; test_matches_figure1_oracle_small_corpora
-        # covers r = 0.1 on corpora that do not saturate.
+        # `index` is empty for the default index settings.  Both `track` and
+        # the oracle re-anchor on the hearer with (1 - r, r, 0), so they agree
+        # on either side of r = 0.5, also near total conflict.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # delta >= 0.5
             config = TrackerConfig(delta=delta, method=method, **index)
