@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,9 +14,10 @@ from hypothesis import event, given, note, settings, strategies as st
 import initrack
 from initrack.cli import main
 from initrack.corpus import GeneratorConfig, format_corpus, gen_synthetic, load_corpus, save_corpus
-from initrack.cues import CueKind, init_model, save_model
+from initrack.cues import CueKind, format_model, init_model, load_model, save_model
+from initrack.evalstats import baseline_run, evaluate
 from initrack.evidence import MassFunction
-from initrack.tracker import AdjustmentMethod, TrackerConfig, sweep, sweep_csv
+from initrack.tracker import AdjustmentMethod, TrackerConfig, sweep, sweep_csv, train
 
 GOOD = """\
 corpus demo
@@ -345,6 +347,24 @@ class TestReports:
         assert out_path.read_text().startswith("delta,")
 
 
+class TestWarnings:
+    @pytest.mark.parametrize(
+        "argv, deltas",
+        [
+            (["train", "--delta", "0.5"], ["0.5"]),
+            (["sweep", "--sweep-from", "0.5", "--sweep-to", "0.6", "--sweep-step", "0.1"], ["0.5", "0.6"]),
+        ],
+        ids=["train", "sweep"],
+    )
+    def test_one_line_per_warning(self, argv, deltas, good_corpus, capsys):
+        handler = warnings.showwarning
+        assert main([*argv, "--corpus", str(good_corpus)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "".join(f"warning: delta={d} is outside the recommended (0, 0.5) range\n" for d in deltas)
+        assert captured.out
+        assert warnings.showwarning is handler
+
+
 class TestNoPredictionPoint:
     @pytest.mark.parametrize("corpus_text", NO_POINT_CORPORA.values(), ids=NO_POINT_CORPORA.keys())
     @pytest.mark.parametrize(
@@ -597,10 +617,74 @@ def _cli_flags(root: Path) -> dict:
     }
 
 
+def _printed_counts(report: str) -> tuple[int, int, int]:
+    """(task correct, dialogue correct, points) from an accuracy report, text or csv."""
+    if report.startswith("dim,"):
+        (task, t_correct, t_total, _), (dialogue, d_correct, d_total, _) = (
+            line.split(",") for line in report.splitlines()[1:])
+        assert (task, dialogue) == ("task", "dialogue")
+    else:
+        t_correct, t_total, d_correct, d_total = re.fullmatch(
+            r"\w+: task (\d+)/(\d+) \([^)]*\), dialogue (\d+)/(\d+) \([^)]*\)\n", report).groups()
+    assert t_total == d_total
+    return int(t_correct), int(d_correct), int(t_total)
+
+
+def _library_counts(argv: list[str]) -> tuple[int, int, int]:
+    """What `baseline_run`, `train` or `evaluate` counts on the inputs of a baseline, train or eval command."""
+    command, opts = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    corpus = load_corpus(opts["--corpus"])
+    if command == "baseline":
+        run = baseline_run(corpus)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # delta >= 0.5
+            config = TrackerConfig(
+                delta=float(opts.get("--delta", TrackerConfig.delta)),
+                method=AdjustmentMethod(opts.get("--method", TrackerConfig.method.value)),
+                default_x=float(opts.get("--default-x", TrackerConfig.default_x)),
+                reset_strength=float(opts.get("--reset-strength", TrackerConfig.reset_strength)),
+            )
+        if command == "train":
+            result = train(corpus, config)
+            if "--model" in opts:
+                assert Path(opts["--model"]).read_text(encoding="utf-8") == format_model(result.model)
+            run = result.run
+        else:
+            teacher_forcing = opts.get("--teacher-forcing", "true").lower() in ("true", "1", "yes", "on")
+            run = evaluate(corpus, load_model(opts["--model"]), config, teacher_forcing=teacher_forcing)
+    return run.task_correct, run.dialogue_correct, run.predictions
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["baseline", "--corpus", "cue-dense.dti"],
+        ["train", "--corpus", "cue-dense.dti", "--method", "const-counter", "--delta", "0.2", "--model", "t.model"],
+        ["train", "--corpus", "cue-dense.dti", "--method", "var-counter", "--delta", "0.35",
+         "--default-x", "0.3", "--reset-strength", "0.1"],
+        ["eval", "--corpus", "cue-dense.dti", "--model", "vacuous.model"],
+        ["eval", "--corpus", "one-pair.dti", "--model", "saturated.model", "--teacher-forcing", "false"],
+        ["eval", "--corpus", "cue-dense.dti", "--model", "vacuous.model", "--teacher-forcing", "off",
+         "--default-x", "0.3", "--reset-strength", "0.6"],
+    ],
+    ids=["baseline", "train", "train-index", "eval", "eval-closed-loop", "eval-index"],
+)
+def test_zero_exit_prints_the_library_counts(cli_inputs, argv, fmt, capsys):
+    argv = [str(cli_inputs / arg) if arg.endswith((".dti", ".model")) else arg for arg in argv]
+    assert main([*argv, "--format", fmt]) == 0
+    assert _printed_counts(capsys.readouterr().out) == _library_counts(argv)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_every_input_ends_in_a_named_exit_code(cli_inputs, data):
     """Exit 0, 2, 3 or 64, never 1; no traceback; stdout empty unless exit 0, and no nan then.
+
+    A zero exit of baseline, train or eval prints the counts that
+    `baseline_run`, `train` or `evaluate` give on the same inputs, and
+    train's --model file holds the model that `train` returns.
 
     Saturating inputs may exit 2 with "cannot combine totally conflicting
     mass functions" or "masses must sum to 1": tracking is not yet total.
@@ -629,3 +713,5 @@ def test_every_input_ends_in_a_named_exit_code(cli_inputs, data):
     else:
         written = out_file.read_text(encoding="utf-8") if out_file.exists() else ""
         assert not re.search(r"\bnan\b", out + written, re.IGNORECASE)
+        if command in ("baseline", "train", "eval") and "--help" not in argv:
+            assert _printed_counts(out + written) == _library_counts(argv)
