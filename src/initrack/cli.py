@@ -344,10 +344,6 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> str:
     return format_corpus(gen_synthetic(config, args.seed))
 
 
-def _show_warning(message, *_) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -355,9 +351,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     # The command's text is written only once it has returned, so a failing
-    # command leaves stdout and its --out file untouched.
+    # command leaves stdout and its --out file untouched.  Warnings print as
+    # one line each, and an in-process caller's handler is restored after.
     with warnings.catch_warnings():
-        warnings.showwarning = _show_warning
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             text = args.func(args)
             if getattr(args, "out", None):

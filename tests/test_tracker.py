@@ -4,7 +4,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from initrack import tracker
 from initrack.corpus import GeneratorConfig, gen_synthetic
@@ -416,6 +416,14 @@ class TestOracleAgreement:
         st.sampled_from(list(AdjustmentMethod)),
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         st.sampled_from([{}, {"default_x": 0.3, "reset_strength": 0.6}, {"default_x": 0.3, "reset_strength": 0.1}]),
+    )
+    # Predictions flipped here when the hearer reset was 1 - (1 - r), not r.
+    @example(
+        gen_synthetic(GeneratorConfig(
+            dialogues=1, turns_per_dialogue=25, cue_emit={CueKind.NO_NEW_INFO_PROMPT: 0.8062945394843766},
+            cue_shift={CueKind.NO_NEW_INFO_PROMPT: 0.8062945394843766}, base_shift_task=1.0,
+            base_shift_dialogue=0.8062945394843766), 2),
+        AdjustmentMethod.CONSTANT_INCREMENT, 0.3, {"default_x": 0.3, "reset_strength": 0.1},
     )
     def test_train_and_evaluate_match_oracle(self, corpus, method, delta, index):
         # `index` is empty for the default index settings.  Both `track` and
