@@ -259,7 +259,7 @@ def _cmd_report_errors(args: argparse.Namespace) -> str:
 @_command("compare", "baseline vs trained model across corpora",
           _flag("--corpus", type=Path, action="append", required=True, help="repeatable"), _MODEL,
           _flag("--focus-agent", required=True, help="expert agent for the control counts"),
-          *_FROZEN[2:])
+          _TEACHER_FORCING, *_INDEX, *_OUTPUT)
 def _cmd_compare(args: argparse.Namespace) -> str:
     frozen = _frozen(args)
     rows = []

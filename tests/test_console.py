@@ -104,24 +104,24 @@ def test_empty_corpus_exits_3(tmp_path):
 
 
 # sha256 of each command's stdout on the README quick-start corpus and model, text then csv.
-FROZEN = ["--corpus", "demo.dti", "--model", "demo.model"]
+DEMO_MODEL = ["--corpus", "demo.dti", "--model", "demo.model"]
 PINNED = {
     "train": (["train", "--corpus", "demo.dti", "--delta", "0.35", "--method", "const-counter"],
               "8583a41525dc7293e46e1533b8a061cfc52f80b6c241d886f1c21e6d284b83a6",
               "957bd5e7eb2172a6714afc9cd6bd3433c02f7f13d1551080f54dceacc710071e"),
-    "eval": (["eval", *FROZEN],
+    "eval": (["eval", *DEMO_MODEL],
              "519561ea212b9b6cc2053d3edc10911c0d876a51795ec4d0a662554e4e5dfc4f",
              "33a4196feae46dc63e3e276c657f83ec6de75ce37ecdb382f2e2033df32c5e62"),
-    "eval-closed-loop": (["eval", *FROZEN, "--teacher-forcing", "false"],
+    "eval-closed-loop": (["eval", *DEMO_MODEL, "--teacher-forcing", "false"],
                          "3d17a3fe94601d3e2018a27ed4912167427d9b93b270b70fa6d1232f959bb85c",
                          "6677938364b4caf96fe31b8bac09f1a61c8a000c30a090fab15352567837cd91"),
     "xval": (["xval", "--corpus", "demo.dti"],
              "a72d80042948662b7243a0082152a8ff12f500531d770cad1020539509da5e47",
              "02fd90aa9f0d612bde430b59a84dae9fe8e5636221133383853d453b47ec45a0"),
-    "compare": (["compare", *FROZEN, "--focus-agent", "a0"],
+    "compare": (["compare", *DEMO_MODEL, "--focus-agent", "a0"],
                 "69f3aab95b836d6894a2700539d6e667a7bcff8e0e07524b4a6f5a77dbef6959",
                 "8607d8c3ae6694df2837f035f56bdde4981d6b00da4cc67faef21600422121ec"),
-    "report-errors": (["report-errors", *FROZEN],
+    "report-errors": (["report-errors", *DEMO_MODEL],
                       "fb690600603c3c9367fa562d39c4b0b46c02ea3d8d6b4c055829023fff980dd1",
                       "641026eb8f96a2a90624578c8b81d65c4b0bbecec456e6a5a553b089c04099c5"),
 }
