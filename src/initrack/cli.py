@@ -10,10 +10,13 @@ import argparse
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+# A command imports from tracker and evalstats only what it runs, so that one
+# that tracks nothing does not load them.
 from .corpus import (
     Corpus,
+    DegenerateStatisticError,
     GeneratorConfig,
     distribution_report,
     format_corpus,
@@ -22,23 +25,9 @@ from .corpus import (
     partition_by_pair,
 )
 from .cues import load_model, parse_cue, save_model
-from .evalstats import (
-    ComparisonRow,
-    DegenerateStatisticError,
-    RunResult,
-    baseline_run,
-    cochran_q,
-    comparison_csv,
-    comparison_text,
-    cross_validate,
-    error_report,
-    error_report_csv,
-    error_report_text,
-    evaluate,
-    fold_table_csv,
-    kappa,
-)
-from .tracker import DEFAULT_GRID, AdjustmentMethod, TrackerConfig, delta_grid, sweep, sweep_csv, train
+
+if TYPE_CHECKING:
+    from .tracker import RunResult, TrackerConfig
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
@@ -76,6 +65,8 @@ def _parse_bool(value: str) -> bool:
 
 def _config(args: argparse.Namespace) -> TrackerConfig:
     """The run's settings; a command without --delta or --method gets `TrackerConfig`'s."""
+    from .tracker import AdjustmentMethod, TrackerConfig
+
     return TrackerConfig(
         delta=getattr(args, "delta", TrackerConfig.delta),
         method=AdjustmentMethod(getattr(args, "method", TrackerConfig.method.value)),
@@ -88,21 +79,31 @@ def _flag(name: str, **options) -> tuple[str, dict]:
     return name, options
 
 
+def _tracker_flags() -> dict[str, dict]:
+    """The options of the flags whose defaults are the tracker's, by flag.
+    Only a command that takes one of them calls this, and so loads `tracker`."""
+    from .tracker import DEFAULT_GRID, AdjustmentMethod, TrackerConfig
+
+    return {
+        "--sweep-from": dict(type=float, default=DEFAULT_GRID[0]),
+        "--sweep-to": dict(type=float, default=DEFAULT_GRID[1]),
+        "--sweep-step": dict(type=float, default=DEFAULT_GRID[2]),
+        "--delta": dict(type=float, default=TrackerConfig.delta, help="adjustment increment (default %(default)s)"),
+        "--method": dict(
+            choices=[m.value for m in AdjustmentMethod],
+            default=TrackerConfig.method.value,
+            help="bpa adjustment method (default %(default)s)",
+        ),
+        "--default-x": dict(type=float, default=TrackerConfig.default_x, help="default speaker mass of the initiative indices"),
+        "--reset-strength": dict(type=float, default=TrackerConfig.reset_strength, help="index mass put on the actual holder after an error"),
+    }
+
+
 # Flag groups, each stated once; a subcommand lists its flags in --help order.
 _CORPUS = _flag("--corpus", type=Path, required=True)
 _MODEL = _flag("--model", type=Path, required=True)
 _TEACHER_FORCING = _flag("--teacher-forcing", type=_parse_bool, default=True, metavar="BOOL")
-_DELTA = _flag("--delta", type=float, default=TrackerConfig.delta, help="adjustment increment (default %(default)s)")
-_METHOD = _flag(
-    "--method",
-    choices=[m.value for m in AdjustmentMethod],
-    default=TrackerConfig.method.value,
-    help="bpa adjustment method (default %(default)s)",
-)
-_INDEX = (
-    _flag("--default-x", type=float, default=TrackerConfig.default_x, help="default speaker mass of the initiative indices"),
-    _flag("--reset-strength", type=float, default=TrackerConfig.reset_strength, help="index mass put on the actual holder after an error"),
-)
+_INDEX = ("--default-x", "--reset-strength")
 _OUTPUT = (
     _flag("--out", type=Path, default=None, help="write results here instead of stdout"),
     _flag("--format", choices=["text", "csv"], default="text", help="output format"),
@@ -111,11 +112,13 @@ _FROZEN = (_CORPUS, _MODEL, _TEACHER_FORCING, *_INDEX, *_OUTPUT)
 
 # A command's handler returns the text it prints.
 _Handler = Callable[[argparse.Namespace], str]
+# A flag: (name, options), or a name alone whose options `_tracker_flags` gives.
+_Flag = str | tuple[str, dict]
 # (name, summary, flags, handler) of each subcommand, in --help order.
-_COMMANDS: list[tuple[str, str, tuple[tuple[str, dict], ...], _Handler]] = []
+_COMMANDS: list[tuple[str, str, tuple[_Flag, ...], _Handler]] = []
 
 
-def _command(name: str, summary: str, *flags: tuple[str, dict]) -> Callable[[_Handler], _Handler]:
+def _command(name: str, summary: str, *flags: _Flag) -> Callable[[_Handler], _Handler]:
     """Register the decorated handler as subcommand `name`, taking `flags`."""
 
     def register(handler: _Handler) -> _Handler:
@@ -125,12 +128,18 @@ def _command(name: str, summary: str, *flags: tuple[str, dict]) -> Callable[[_Ha
     return register
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: Sequence[str]) -> _Parser:
+    """The parser of `argv`.  Only the subparser argparse will select, that of
+    the first argument naming a command, gets its flags: the others are never
+    used, and their flags would load `tracker` to read its defaults."""
     parser = _Parser(prog="initrack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    names = [command[0] for command in _COMMANDS]
+    selected = next((arg for arg in argv if arg in names), None)
     for name, summary, flags, handler in _COMMANDS:
         p = sub.add_parser(name, help=summary)
-        for flag, options in flags:
+        for flag in flags if name == selected else ():
+            flag, options = (flag, _tracker_flags()[flag]) if isinstance(flag, str) else flag
             p.add_argument(flag, **options)
         p.set_defaults(func=handler)
     return parser
@@ -168,6 +177,8 @@ def _load_points(path: Path) -> Corpus:
 
 def _frozen(args: argparse.Namespace) -> Callable[[Corpus], RunResult]:
     """A frozen run of the model in --model, loaded once, under the command's settings."""
+    from .evalstats import evaluate
+
     model, config = load_model(args.model), _config(args)
     return lambda corpus: evaluate(corpus, model, config, teacher_forcing=args.teacher_forcing)
 
@@ -203,8 +214,10 @@ def _cmd_distribution(args: argparse.Namespace) -> str:
 
 @_command("train", "train cue mass functions on a corpus",
           _CORPUS, _flag("--model", type=Path, default=None, help="write the trained model here"),
-          _DELTA, _METHOD, *_INDEX, *_OUTPUT)
+          "--delta", "--method", *_INDEX, *_OUTPUT)
 def _cmd_train(args: argparse.Namespace) -> str:
+    from .tracker import train
+
     result = train(_load_points(args.corpus), _config(args))
     if args.model:
         save_model(result.model, args.model)
@@ -220,12 +233,16 @@ def _cmd_eval(args: argparse.Namespace) -> str:
 
 @_command("baseline", "keep-the-holder baseline accuracies", _CORPUS, *_OUTPUT)
 def _cmd_baseline(args: argparse.Namespace) -> str:
+    from .evalstats import baseline_run
+
     return _accuracy_lines([("baseline", baseline_run(_load_points(args.corpus)))], args.format)
 
 
 @_command("xval", "leave-one-pair-out cross-validation",
-          _CORPUS, _TEACHER_FORCING, _DELTA, _METHOD, *_INDEX, *_OUTPUT)
+          _CORPUS, _TEACHER_FORCING, "--delta", "--method", *_INDEX, *_OUTPUT)
 def _cmd_xval(args: argparse.Namespace) -> str:
+    from .evalstats import cross_validate, fold_table_csv
+
     corpus = _load_points(args.corpus)
     for _, held_out in partition_by_pair(corpus):
         _require_points(held_out, args.corpus)
@@ -238,12 +255,12 @@ def _cmd_xval(args: argparse.Namespace) -> str:
 
 
 @_command("sweep", "accuracy table over a grid of delta values",
-          _CORPUS,
-          *(_flag(flag, type=float, default=default)
-            for flag, default in zip(("--sweep-from", "--sweep-to", "--sweep-step"), DEFAULT_GRID)),
+          _CORPUS, "--sweep-from", "--sweep-to", "--sweep-step",
           _flag("--xval", action="store_true", help="score each delta by cross-validation"),
-          _METHOD, *_INDEX, *_OUTPUT)
+          "--method", *_INDEX, *_OUTPUT)
 def _cmd_sweep(args: argparse.Namespace) -> str:
+    from .tracker import delta_grid, sweep, sweep_csv
+
     corpus = _load_points(args.corpus)
     grid = delta_grid(args.sweep_from, args.sweep_to, args.sweep_step)
     return sweep_csv(sweep(corpus, _config(args), grid, cross_validated=args.xval))
@@ -251,6 +268,8 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 @_command("report-errors", "per-cue shift/no-shift error tallies", *_FROZEN)
 def _cmd_report_errors(args: argparse.Namespace) -> str:
+    from .evalstats import error_report, error_report_csv, error_report_text
+
     corpus = _load_points(args.corpus)
     report = error_report(_frozen(args)(corpus), corpus)
     return error_report_csv(report) if args.format == "csv" else error_report_text(report)
@@ -261,6 +280,8 @@ def _cmd_report_errors(args: argparse.Namespace) -> str:
           _flag("--focus-agent", required=True, help="expert agent for the control counts"),
           _TEACHER_FORCING, *_INDEX, *_OUTPUT)
 def _cmd_compare(args: argparse.Namespace) -> str:
+    from .evalstats import ComparisonRow, baseline_run, comparison_csv, comparison_text
+
     frozen = _frozen(args)
     rows = []
     for path in args.corpus:
@@ -294,6 +315,8 @@ def _data_lines(path: Path) -> Iterator[str]:
 @_command("kappa", "multi-rater agreement from a ratings file",
           _flag("--ratings", type=Path, required=True, help="one line per item, one category token per rater"), *_OUTPUT)
 def _cmd_kappa(args: argparse.Namespace) -> str:
+    from .evalstats import kappa
+
     value = kappa([line.split() for line in _data_lines(args.ratings)])
     return f"kappa,{value:.6f}\n" if args.format == "csv" else f"kappa = {value:.6f}\n"
 
@@ -301,6 +324,8 @@ def _cmd_kappa(args: argparse.Namespace) -> str:
 @_command("cochran-q", "Cochran's Q over matched binary outcomes",
           _flag("--outcomes", type=Path, required=True, help="one line per subject, 0/1 per treatment"), *_OUTPUT)
 def _cmd_cochran_q(args: argparse.Namespace) -> str:
+    from .evalstats import cochran_q
+
     result = cochran_q([[int(tok) for tok in line.split()] for line in _data_lines(args.outcomes)])
     if args.format == "csv":
         return f"q,df,p\n{result.statistic:.6f},{result.df},{result.p_value:.6g}\n"
@@ -345,9 +370,9 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     # The command's text is written only once it has returned, so a failing

@@ -32,6 +32,10 @@ class GeneratorConfigError(ValueError):
     """Raised for an invalid synthetic-corpus configuration."""
 
 
+class DegenerateStatisticError(ValueError):
+    """Raised when a statistic is undefined on the given data (0/0 chance terms)."""
+
+
 @dataclass(frozen=True)
 class Turn:
     speaker: str

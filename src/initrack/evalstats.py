@@ -15,13 +15,9 @@ from itertools import chain, compress, repeat
 from operator import add, and_, itemgetter
 from typing import Hashable, Iterator, Sequence
 
-from .corpus import Corpus, Dialogue, partition_by_pair
+from .corpus import Corpus, DegenerateStatisticError, Dialogue, partition_by_pair
 from .cues import TABLES, CueKind, CueModel, Dimension, canonical_specs
 from .tracker import RunResult, TrackerConfig, track, train
-
-
-class DegenerateStatisticError(ValueError):
-    """Raised when a statistic is undefined on the given data (0/0 chance terms)."""
 
 
 # ---------------------------------------------------------------------------

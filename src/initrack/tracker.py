@@ -62,6 +62,9 @@ class TrackerConfig:
         if not 0.0 < self.reset_strength < 1.0:
             # 0 or 1 would make the index absorbing under combination.
             raise ValueError(f"reset_strength must lie strictly in (0, 1), got {self.reset_strength!r}")
+        if self.reset_strength <= 0.5:
+            # A reset would then leave the index predicting the other agent.
+            warnings.warn(f"reset_strength={self.reset_strength} is outside the recommended (0.5, 1) range", stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -481,9 +484,12 @@ def sweep(
         raise ValueError("sweep requires at least one delta")
     configs, rows = [], []
     try:
-        for delta in sorted(deltas):
-            # Built here, not by dataclasses.replace, so a warning names this file.
-            configs.append(TrackerConfig(delta=delta, method=config.method, default_x=config.default_x, reset_strength=config.reset_strength))
+        with warnings.catch_warnings():
+            # The rows share config's reset_strength, which has warned once already.
+            warnings.filterwarnings("ignore", "reset_strength=")
+            for delta in sorted(deltas):
+                # Built here, not by dataclasses.replace, so a warning names this file.
+                configs.append(TrackerConfig(delta=delta, method=config.method, default_x=config.default_x, reset_strength=config.reset_strength))
         for run_config in configs:
             delta = run_config.delta
             if cross_validated:

@@ -1,3 +1,4 @@
+import importlib
 import io
 import os
 import re
@@ -7,17 +8,18 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import ModuleType
 
 import pytest
-from hypothesis import event, given, note, settings, strategies as st
+from hypothesis import event, example, given, note, settings, strategies as st
 
 import initrack
 from initrack.cli import main
 from initrack.corpus import GeneratorConfig, format_corpus, gen_synthetic, load_corpus, save_corpus
-from initrack.cues import CueKind, format_model, init_model, load_model, save_model
-from initrack.evalstats import baseline_run, evaluate
+from initrack.cues import CueKind, Dimension, canonical_specs, format_model, init_model, load_model, save_model
+from initrack.evalstats import baseline_run, cross_validate, error_report, evaluate
 from initrack.evidence import MassFunction
-from initrack.tracker import AdjustmentMethod, TrackerConfig, sweep, sweep_csv, train
+from initrack.tracker import DEFAULT_GRID, AdjustmentMethod, TrackerConfig, delta_grid, sweep, sweep_csv, train
 
 GOOD = """\
 corpus demo
@@ -364,6 +366,17 @@ class TestWarnings:
         assert captured.out
         assert warnings.showwarning is handler
 
+    @pytest.mark.parametrize("argv", [["train"], ["sweep"], ["sweep", "--xval"]], ids=["train", "sweep", "sweep-xval"])
+    def test_reset_strength_warns_once(self, argv, synth_corpus, capsys):
+        # A sweep's rows share one reset strength: one line, not one per row.
+        argv = [*argv, "--corpus", str(synth_corpus), "--reset-strength", "0.3"]
+        handler = warnings.showwarning
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: reset_strength=0.3 is outside the recommended (0.5, 1) range\n"
+        assert _read_report(argv[0], captured.out) == _library_report(argv)
+        assert warnings.showwarning is handler
+
 
 class TestNoPredictionPoint:
     @pytest.mark.parametrize("corpus_text", NO_POINT_CORPORA.values(), ids=NO_POINT_CORPORA.keys())
@@ -506,6 +519,85 @@ def test_cli_import_loads_no_importlib_resources():
     assert out == "False\n"
 
 
+def _fresh(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter that imports this initrack."""
+    src = str(Path(initrack.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh("import initrack, sys; print(sorted(m for m in sys.modules if m.startswith('initrack')))") == (
+        "['initrack']\n"
+    )
+
+
+# Each command loads the library modules its handler runs and no other:
+# evalstats imports tracker, and tracker's modules import those before them.
+_BASE_MODULES = ["initrack", "initrack.cli", "initrack.corpus", "initrack.cues", "initrack.evidence"]
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["validate", "--corpus", "{corpus}"], []),
+        (["distribution", "--corpus", "{replica}", "--focus-agent", "system"], []),
+        (["gen-synthetic", "--seed", "3", "--out", "{tmp}/g.dti"], []),
+        (["train", "--corpus", "{corpus}"], ["tracker"]),
+        (["sweep", "--corpus", "{corpus}", "--sweep-to", "0.1"], ["tracker"]),
+        (["sweep", "--corpus", "{corpus}", "--sweep-to", "0.1", "--xval"], ["evalstats", "tracker"]),
+        (["baseline", "--corpus", "{corpus}"], ["evalstats", "tracker"]),
+        (["eval", "--corpus", "{corpus}", "--model", "{model}"], ["evalstats", "tracker"]),
+        (["kappa", "--ratings", "{ratings}"], ["evalstats", "tracker"]),
+        (["validate", "--help"], []),
+        (["--help"], []),
+    ],
+    ids=["validate", "distribution", "gen-synthetic", "train", "sweep", "sweep-xval", "baseline", "eval", "kappa",
+         "validate-help", "help"],
+)
+def test_command_loads_only_what_it_runs(argv, loads, synth_corpus, tmp_path):
+    model, ratings = tmp_path / "m.model", tmp_path / "ratings.txt"
+    save_model(init_model(), model)
+    ratings.write_text("x x y\nx x x\n", encoding="utf-8")
+    argv = [arg.format(corpus=synth_corpus, replica=initrack.REPLICA_PATH, model=model, ratings=ratings, tmp=tmp_path)
+            for arg in argv]
+    code = (
+        "import sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from io import StringIO\n"
+        "from initrack.cli import main\n"
+        f"with redirect_stdout(StringIO()):\n    code = main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('initrack')))\n"
+    )
+    assert _fresh(code) == f"0 {sorted([*_BASE_MODULES, *(f'initrack.{m}' for m in loads)])}\n"
+
+
+def test_every_public_name_reads_its_module(monkeypatch):
+    """Each name of `initrack.__all__` is its module's object, looked up anew on each use."""
+    assert len(initrack.__all__) == 78 and initrack.__all__ == sorted(set(initrack.__all__))
+    assert set(initrack.__all__) <= set(dir(initrack))
+    submodules = [importlib.import_module(f"initrack.{name}") for name in ("evidence", "cues", "corpus", "tracker", "evalstats")]
+    for name in initrack.__all__:
+        value = getattr(initrack, name)
+        if isinstance(value, ModuleType):
+            assert value is sys.modules[f"initrack.{name}"]
+            continue
+        holders = [module.__name__ for module in submodules if vars(module).get(name) is value]
+        home = getattr(value, "__module__", "")
+        assert home in holders if home.startswith("initrack.") else holders, name
+        assert name not in vars(initrack), name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        initrack.no_such_name
+    assert initrack.evalstats.DegenerateStatisticError is initrack.DegenerateStatisticError
+    # A stand-in set on the module, as the benchmark's tracer sets one, is
+    # seen through the package, and so is the original once it is restored.
+    original = initrack.evalstats.evaluate
+    monkeypatch.setattr(initrack.evalstats, "evaluate", lambda *args, **kwargs: original(*args, **kwargs))
+    assert initrack.evaluate is initrack.evalstats.evaluate is not original
+    monkeypatch.undo()
+    assert initrack.evaluate is initrack.evalstats.evaluate is original
+
+
 def test_validate_replica_from_a_copied_package(tmp_path):
     package = Path(initrack.__file__).resolve().parent
     shutil.copytree(package, tmp_path / "lib" / "initrack", ignore=shutil.ignore_patterns("__pycache__"))
@@ -524,7 +616,8 @@ def test_validate_replica_from_a_copied_package(tmp_path):
 
 # ---------------------------------------------------------------------------
 # One property over the whole CLI: every accepted or rejected input ends in a
-# named exit code.
+# named exit code.  Its input files are named relative to the `cli_inputs`
+# directory, so that an argv can be stated as an @example.
 
 
 def _values(typical, odd):
@@ -541,6 +634,13 @@ _CUE_ENTRIES = st.sampled_from(
      "end_silence=1.5", "end_silence=-0.1", "end_silence", "=0.5", "end_silence=1e-300"]
 )
 
+# The corpora the property draws from: "zero-point" has no prediction point,
+# and "pointless-pair" has one agent pair with points and one without.
+CORPORA = ["zero-point.dti", "pointless-pair.dti", "one-pair.dti", "cue-dense.dti", "saturating.dti",
+           "unknown-cue.dti", "missing.dti"]
+# The commands that track a corpus: they exit 3 on one without prediction point.
+TRACKING = ["train", "eval", "baseline", "xval", "sweep", "report-errors", "compare"]
+
 
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory):
@@ -548,6 +648,11 @@ def cli_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_property")
     corpora = {
         "zero-point": "corpus x\n",
+        "pointless-pair": (
+            "corpus x\n"
+            "dialogue d1 agents=a0,b0\nturn speaker=a0 ti=a0 di=a0 cues=-\nturn speaker=b0 ti=a0 di=b0 cues=-\nend\n"
+            "dialogue d2 agents=a1,b1\nturn speaker=a1 ti=a1 di=a1 cues=-\nend\n"
+        ),
         "one-pair": format_corpus(gen_synthetic(GeneratorConfig(dialogues=3, turns_per_dialogue=10), 1)),
         "cue-dense": format_corpus(gen_synthetic(GeneratorConfig(
             dialogues=4, turns_per_dialogue=15, pairs=2,
@@ -559,6 +664,9 @@ def cli_inputs(tmp_path_factory):
     for name, text in corpora.items():
         (root / f"{name}.dti").write_text(text, encoding="utf-8")
     assert main([*README_GEN, "--out", str(root / "saturating.dti")]) == 0
+    # The README quick-start model.
+    assert main(["train", "--corpus", str(root / "saturating.dti"), "--delta", "0.35", "--method", "const-counter",
+                 "--model", str(root / "demo.model")]) == 0
     save_model(init_model(), root / "vacuous.model")
     saturated = init_model()
     saturated.params[CueKind.NO_NEW_INFO_PROMPT].dialogue_bpa = MassFunction(0.0, 1.0, 0.0)
@@ -568,24 +676,29 @@ def cli_inputs(tmp_path_factory):
         "ratings": "x x x\nx x y\n", "ratings-same": "x x\nx x\n", "ratings-ragged": "x x\nx\n",
         "outcomes": "1 1\n1 0\n0 0\n", "outcomes-same": "1 1\n1 1\n", "outcomes-bad": "1 2\n0 x\n", "empty": "",
     }.items():
-        (root / name).write_text(text, encoding="utf-8")
+        (root / f"{name}.txt").write_text(text, encoding="utf-8")
     return root
 
 
-def _cli_flags(root: Path) -> dict:
+def _in(root: Path, argv: list[str]) -> list[str]:
+    """argv with its input and output files placed in `root`."""
+    return [str(root / arg) if arg.endswith((".dti", ".model", ".txt")) else arg for arg in argv]
+
+
+def _cli_flags() -> dict:
     """Each subcommand's flags: (flag, value strategy or None for a switch, required)."""
-    corpora = st.sampled_from(sorted(str(p) for p in root.glob("*.dti")) + [str(root / "missing.dti")])
-    models = st.sampled_from([str(root / m) for m in ("vacuous.model", "saturated.model", "broken.model", "none.model")])
+    corpora = st.sampled_from(CORPORA)
+    models = st.sampled_from(["vacuous.model", "demo.model", "saturated.model", "broken.model", "none.model"])
     index = [("--default-x", _FLOATS, False), ("--reset-strength", _FLOATS, False)]
     method = [("--method", _values(["const", "const-counter", "var-counter"], ["constant"]), False), *index]
     tracker = [("--delta", _FLOATS, False), *method]
-    output = [("--format", _FORMATS, False), ("--out", st.just(str(root / "out.txt")), False)]
+    output = [("--format", _FORMATS, False), ("--out", st.just("out.txt"), False)]
     focus = ("--focus-agent", st.sampled_from(["a0", "a1", "manager", "nobody"]), True)
     frozen = [("--corpus", corpora, True), ("--model", models, True), ("--teacher-forcing", _BOOLS, False), *index, *output]
     return {
         "validate": [("--corpus", corpora, True)],
         "distribution": [("--corpus", corpora, True), focus, *output],
-        "train": [("--corpus", corpora, True), ("--model", st.just(str(root / "trained.model")), False), *tracker, *output],
+        "train": [("--corpus", corpora, True), ("--model", st.just("trained.model"), False), *tracker, *output],
         "eval": frozen,
         "baseline": [("--corpus", corpora, True), *output],
         "xval": [("--corpus", corpora, True), ("--teacher-forcing", _BOOLS, False), *tracker, *output],
@@ -600,8 +713,8 @@ def _cli_flags(root: Path) -> dict:
         ],
         "report-errors": frozen,
         "compare": [*frozen, ("--corpus", corpora, False), focus],
-        "kappa": [("--ratings", st.sampled_from([str(root / f) for f in ("ratings", "ratings-same", "ratings-ragged", "empty")]), True), *output],
-        "cochran-q": [("--outcomes", st.sampled_from([str(root / f) for f in ("outcomes", "outcomes-same", "outcomes-bad", "empty")]), True), *output],
+        "kappa": [("--ratings", st.sampled_from(["ratings.txt", "ratings-same.txt", "ratings-ragged.txt", "empty.txt"]), True), *output],
+        "cochran-q": [("--outcomes", st.sampled_from(["outcomes.txt", "outcomes-same.txt", "outcomes-bad.txt", "empty.txt"]), True), *output],
         "gen-synthetic": [
             ("--seed", _INTS, False),
             ("--name", st.sampled_from(["synthetic", "x", "my corpus", ""]), False),
@@ -612,48 +725,158 @@ def _cli_flags(root: Path) -> dict:
             ("--cue-shift", _CUE_ENTRIES, False),
             ("--base-shift-task", _FLOATS, False),
             ("--base-shift-dialogue", _FLOATS, False),
-            ("--out", st.just(str(root / "out.txt")), False),
+            ("--out", st.just("out.txt"), False),
         ],
     }
 
 
-def _printed_counts(report: str) -> tuple[int, int, int]:
-    """(task correct, dialogue correct, points) from an accuracy report, text or csv."""
-    if report.startswith("dim,"):
-        (task, t_correct, t_total, _), (dialogue, d_correct, d_total, _) = (
-            line.split(",") for line in report.splitlines()[1:])
-        assert (task, dialogue) == ("task", "dialogue")
-    else:
-        t_correct, t_total, d_correct, d_total = re.fullmatch(
-            r"\w+: task (\d+)/(\d+) \([^)]*\), dialogue (\d+)/(\d+) \([^)]*\)\n", report).groups()
-    assert t_total == d_total
-    return int(t_correct), int(d_correct), int(t_total)
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    """A command, then its flags: each required one, and each other one a third of the time."""
+    flags = _cli_flags()
+    command = draw(st.sampled_from(sorted(flags)))
+    argv = [command]
+    for flag, values, required in flags[command]:
+        if required or draw(st.integers(0, 2)) == 0:
+            argv += [flag] if values is None else [flag, draw(values)]
+    if draw(st.integers(0, 30)) == 0:
+        argv.append("--help")
+    return argv
 
 
-def _library_counts(argv: list[str]) -> tuple[int, int, int]:
-    """What `baseline_run`, `train` or `evaluate` counts on the inputs of a baseline, train or eval command."""
-    command, opts = argv[0], dict(zip(argv[1::2], argv[2::2]))
-    corpus = load_corpus(opts["--corpus"])
-    if command == "baseline":
-        run = baseline_run(corpus)
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # delta >= 0.5
-            config = TrackerConfig(
-                delta=float(opts.get("--delta", TrackerConfig.delta)),
-                method=AdjustmentMethod(opts.get("--method", TrackerConfig.method.value)),
-                default_x=float(opts.get("--default-x", TrackerConfig.default_x)),
-                reset_strength=float(opts.get("--reset-strength", TrackerConfig.reset_strength)),
-            )
-        if command == "train":
-            result = train(corpus, config)
-            if "--model" in opts:
-                assert Path(opts["--model"]).read_text(encoding="utf-8") == format_model(result.model)
-            run = result.run
+def _options(argv: list[str]) -> dict:
+    """argv's flags by name, the last value winning; `--corpus` as the list of its values, `--xval` as True."""
+    opts, tokens = {"--corpus": []}, iter(argv[1:])
+    for flag in tokens:
+        if flag == "--xval":
+            opts[flag] = True
+        elif flag == "--corpus":
+            opts[flag].append(next(tokens))
         else:
-            teacher_forcing = opts.get("--teacher-forcing", "true").lower() in ("true", "1", "yes", "on")
-            run = evaluate(corpus, load_model(opts["--model"]), config, teacher_forcing=teacher_forcing)
+            opts[flag] = next(tokens)
+    return opts
+
+
+def _library_config(opts: dict) -> TrackerConfig:
+    """The config of a run with these flags, each flag left out taking `TrackerConfig`'s default."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # delta >= 0.5, reset_strength <= 0.5
+        return TrackerConfig(
+            delta=float(opts.get("--delta", TrackerConfig.delta)),
+            method=AdjustmentMethod(opts.get("--method", TrackerConfig.method.value)),
+            default_x=float(opts.get("--default-x", TrackerConfig.default_x)),
+            reset_strength=float(opts.get("--reset-strength", TrackerConfig.reset_strength)),
+        )
+
+
+def _counts(run) -> tuple[int, int, int]:
     return run.task_correct, run.dialogue_correct, run.predictions
+
+
+def _library_report(argv: list[str]) -> list[tuple]:
+    """What the library computes on the inputs of a tracking command, in the
+    form in which `_read_report` reads the command's report.
+
+    An accuracy report gives (task correct, dialogue correct, points) per
+    run, xval's its folds' then the aggregate's; sweep its csv rows;
+    report-errors its cells; compare, per corpus and dimension, counts in text
+    and percentages in csv.
+    """
+    command, opts = argv[0], _options(argv)
+    csv = opts.get("--format") == "csv"
+    corpus = load_corpus(opts["--corpus"][0])
+    config = _library_config(opts)
+    teacher_forcing = opts.get("--teacher-forcing", "true").lower() in ("true", "1", "yes", "on")
+
+    def frozen(corpus):
+        return evaluate(corpus, load_model(opts["--model"]), config, teacher_forcing=teacher_forcing)
+
+    if command == "baseline":
+        return [_counts(baseline_run(corpus))]
+    if command == "train":
+        result = train(corpus, config)
+        if "--model" in opts:
+            assert Path(opts["--model"]).read_text(encoding="utf-8") == format_model(result.model)
+        return [_counts(result.run)]
+    if command == "eval":
+        return [_counts(frozen(corpus))]
+    if command == "xval":
+        xval = cross_validate(corpus, config, teacher_forcing=teacher_forcing)
+        return [*(_counts(fold.result) for fold in xval.folds), _counts(xval.aggregate)]
+    if command == "sweep":
+        grid = delta_grid(*(float(opts.get(flag, default))
+                            for flag, default in zip(("--sweep-from", "--sweep-to", "--sweep-step"), DEFAULT_GRID)))
+        rows = sweep(corpus, config, grid, cross_validated="--xval" in opts)
+        return [(f"{row.delta:.3f}", f"{row.task_accuracy:.6f}", f"{row.dialogue_accuracy:.6f}") for row in rows]
+    if command == "report-errors":
+        report = error_report(frozen(corpus), corpus)
+        cells = [(str(spec.kind), str(dim), report.cell(spec.kind, dim))
+                 for spec in canonical_specs() for dim in (Dimension.TASK, Dimension.DIALOGUE)]
+        return [(kind, dim, cell.shift_errors, cell.shift_total, cell.noshift_errors, cell.noshift_total)
+                for kind, dim, cell in cells if csv or cell.shift_total or cell.noshift_total]
+    assert command == "compare"
+    rows = []
+    for path in opts["--corpus"]:
+        corpus = load_corpus(path)
+        base, trained = baseline_run(corpus), frozen(corpus)
+        for dim, holder, correct, accuracy in (("task", "ti_holder", "task_correct", "task_accuracy"),
+                                               ("dialogue", "di_holder", "dialogue_correct", "dialogue_accuracy")):
+            expert = sum(getattr(t, holder) == opts["--focus-agent"] for d in corpus.dialogues for t in d.turns)
+            if csv:
+                rows.append((corpus.name, dim, f"{100 * expert / corpus.turn_count:.6f}",
+                             f"{100 * getattr(base, accuracy):.6f}", f"{100 * getattr(trained, accuracy):.6f}"))
+            else:
+                rows.append((corpus.name, dim, expert, getattr(base, correct), getattr(trained, correct), base.predictions))
+    return rows
+
+
+def _read_report(command: str, report: str) -> list[tuple]:
+    """The numbers of a tracking command's report, text or csv, in the form `_library_report` gives."""
+    lines = report.splitlines()
+    csv = lines[0].partition(",")[0] in ("dim", "fold", "cue", "corpus")  # a csv header
+
+    def match(pattern: str, line: str) -> tuple[str, ...]:
+        found = re.fullmatch(pattern, line)
+        assert found, (pattern, line)
+        return found.groups()
+
+    if command in ("baseline", "train", "eval", "xval"):
+        if csv:  # a header, then a task and a dialogue row per run, each led by xval's fold
+            rows = [match(r"(?:[^,]+,)?(task|dialogue),(\d+),(\d+),[^,]+", line) for line in lines[1:]]
+            runs = list(zip(rows[::2], rows[1::2]))
+            assert all(task[0] == "task" and dialogue[0] == "dialogue" for task, dialogue in runs)
+            counts = [(task[1], dialogue[1], task[2], dialogue[2]) for task, dialogue in runs]
+        else:
+            counts = [match(r"[^:]+: task (\d+)/(\d+) \([^)]*\), dialogue (\d+)/(\d+) \([^)]*\)", line)
+                      for line in lines]
+            counts = [(t_correct, d_correct, t_total, d_total) for t_correct, t_total, d_correct, d_total in counts]
+        assert all(t_total == d_total for *_, t_total, d_total in counts)
+        return [(int(t_correct), int(d_correct), int(total)) for t_correct, d_correct, total, _ in counts]
+    if command == "sweep":
+        assert lines[0] == "delta,task_accuracy,dialogue_accuracy"
+        return [tuple(line.split(",")) for line in lines[1:]]
+    if command == "report-errors":
+        pattern = r"([^,]+),([^,]+),(\d+),(\d+),(\d+),(\d+)" if csv else r"(\S+) +(\S+) +(\d+)/(\d+) +(\d+)/(\d+)"
+        return [(kind, dim, *map(int, counts)) for kind, dim, *counts in (match(pattern, line) for line in lines[1:])]
+    assert command == "compare"
+    if csv:
+        return [match(r"([^,]+),([^,]+),([^,]+),([^,]+),([^,]+),[^,]+", line) for line in lines[1:]]
+    rows = [match(r"(\S+) +(\S+) +(\d+) \([^)]*\) +(\d+)/(\d+) \([^)]*\) +(\d+)/(\d+) \([^)]*\) +-?\d+\.\d", line)
+            for line in lines[1:]]
+    assert all(base_points == trained_points for *_, base_points, _, trained_points in rows)
+    return [(name, dim, int(expert), int(base), int(trained), int(points))
+            for name, dim, expert, base, points, trained, _ in rows]
+
+
+def _stops_before_its_corpus(argv: list[str]) -> bool:
+    """Whether compare's model or settings fail before it reads its corpus."""
+    opts = _options(argv)
+    try:
+        load_model(opts["--model"])
+        _library_config(opts)
+    except (ValueError, OSError):
+        return True
+    return False
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
@@ -668,36 +891,61 @@ def _library_counts(argv: list[str]) -> tuple[int, int, int]:
         ["eval", "--corpus", "one-pair.dti", "--model", "saturated.model", "--teacher-forcing", "false"],
         ["eval", "--corpus", "cue-dense.dti", "--model", "vacuous.model", "--teacher-forcing", "off",
          "--default-x", "0.3", "--reset-strength", "0.6"],
+        ["xval", "--corpus", "saturating.dti", "--teacher-forcing", "false", "--method", "var-counter", "--delta", "0.2"],
+        ["sweep", "--corpus", "cue-dense.dti", "--sweep-to", "0.2", "--method", "var-counter", "--default-x", "0.3"],
+        ["sweep", "--corpus", "saturating.dti", "--xval", "--sweep-step", "0.1", "--reset-strength", "0.6"],
+        ["report-errors", "--corpus", "saturating.dti", "--model", "demo.model", "--teacher-forcing", "false"],
+        ["compare", "--corpus", "saturating.dti", "--model", "demo.model", "--focus-agent", "a0",
+         "--corpus", "cue-dense.dti", "--teacher-forcing", "false"],
     ],
-    ids=["baseline", "train", "train-index", "eval", "eval-closed-loop", "eval-index"],
+    ids=["baseline", "train", "train-index", "eval", "eval-closed-loop", "eval-index", "xval", "sweep", "sweep-xval",
+         "report-errors", "compare"],
 )
 def test_zero_exit_prints_the_library_counts(cli_inputs, argv, fmt, capsys):
-    argv = [str(cli_inputs / arg) if arg.endswith((".dti", ".model")) else arg for arg in argv]
+    argv = _in(cli_inputs, argv)
     assert main([*argv, "--format", fmt]) == 0
-    assert _printed_counts(capsys.readouterr().out) == _library_counts(argv)
+    assert _read_report(argv[0], capsys.readouterr().out) == _library_report([*argv, "--format", fmt])
 
 
+def _examples(argvs: list[list[str]]):
+    """Add each argv as an explicit example of the property."""
+    def add(test):
+        for argv in argvs:
+            test = example(argv=argv)(test)
+        return test
+    return add
+
+
+# Every command that reads a corpus, on every corpus, with typical settings;
+# then a closed-loop eval that exits 0.
+_CORPUS_EXAMPLES = [
+    [command, "--corpus", corpus, *extra]
+    for command, extra in {
+        "validate": [], "distribution": ["--focus-agent", "a0"], "train": [], "eval": ["--model", "vacuous.model"],
+        "baseline": [], "xval": [], "sweep": [], "report-errors": ["--model", "vacuous.model"],
+        "compare": ["--model", "vacuous.model", "--focus-agent", "a0"],
+    }.items()
+    for corpus in CORPORA
+] + [["eval", "--corpus", "one-pair.dti", "--model", "saturated.model", "--teacher-forcing", "false"]]
+
+
+@_examples(_CORPUS_EXAMPLES)
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_every_input_ends_in_a_named_exit_code(cli_inputs, data):
+@given(argv=cli_argvs())
+def test_every_input_ends_in_a_named_exit_code(cli_inputs, argv):
     """Exit 0, 2, 3 or 64, never 1; no traceback; stdout empty unless exit 0, and no nan then.
 
-    A zero exit of baseline, train or eval prints the counts that
-    `baseline_run`, `train` or `evaluate` give on the same inputs, and
-    train's --model file holds the model that `train` returns.
+    A tracking command exits 3 on a corpus with no prediction point, and xval
+    also on one with an agent pair that has none, unless compare's model or
+    settings fail first.  Its zero exit prints what the library computes on
+    the same inputs, and train's --model file holds the model that `train`
+    returns.
 
     Saturating inputs may exit 2 with "cannot combine totally conflicting
     mass functions" or "masses must sum to 1": tracking is not yet total.
     """
-    flags = _cli_flags(cli_inputs)
-    command = data.draw(st.sampled_from(sorted(flags)), label="command")
-    argv = [command]
-    for flag, values, required in flags[command]:
-        if required or data.draw(st.integers(0, 2)) == 0:
-            argv += [flag] if values is None else [flag, data.draw(values)]
-    if data.draw(st.integers(0, 30)) == 0:
-        argv.append("--help")
     note(argv)
+    command, argv = argv[0], _in(cli_inputs, argv)
     out_file = cli_inputs / "out.txt"
     out_file.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
@@ -707,11 +955,15 @@ def test_every_input_ends_in_a_named_exit_code(cli_inputs, data):
     event(f"{command} exit {code}")
     assert code in (0, 2, 3, 64), err
     assert "Traceback" not in err
+    if command in TRACKING and code != 64 and "--help" not in argv:
+        corpus = Path(_options(argv)["--corpus"][0]).name
+        if corpus == "zero-point.dti" or (command, corpus) == ("xval", "pointless-pair.dti"):
+            assert code == (2 if command == "compare" and _stops_before_its_corpus(argv) else 3), err
     if code:
         assert out == ""
         assert not out_file.exists()
     else:
         written = out_file.read_text(encoding="utf-8") if out_file.exists() else ""
         assert not re.search(r"\bnan\b", out + written, re.IGNORECASE)
-        if command in ("baseline", "train", "eval") and "--help" not in argv:
-            assert _printed_counts(out + written) == _library_counts(argv)
+        if command in TRACKING and "--help" not in argv:
+            assert _read_report(command, out + written) == _library_report(argv)

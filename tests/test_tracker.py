@@ -60,6 +60,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrackerConfig(reset_strength=0.0)
 
+    @pytest.mark.parametrize("reset_strength", [0.5, 0.3, 0.1])
+    def test_reset_strength_not_above_half_warns(self, reset_strength):
+        # A reset would then leave the index predicting the other agent.
+        with pytest.warns(UserWarning, match=rf"^reset_strength={reset_strength} is outside") as record:
+            TrackerConfig(reset_strength=reset_strength)
+        assert record[0].filename == __file__
+
+    def test_reset_strength_above_half_is_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            TrackerConfig(reset_strength=0.5000000000000001)
+
 
 class TestStepPredict:
     def test_no_cues_tie(self):
@@ -341,7 +353,9 @@ class TestTrain:
 
 def assert_train_matches_oracle(corpus, method, delta, tol=1e-12, *, default_x=0.5, reset_strength=0.75):
     """`train` and the oracle agree on the trace and, within `tol`, on the tables."""
-    config = TrackerConfig(delta=delta, method=method, default_x=default_x, reset_strength=reset_strength)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # reset_strength <= 0.5
+        config = TrackerConfig(delta=delta, method=method, default_x=default_x, reset_strength=reset_strength)
     plain = corpus_to_plain(corpus)
     try:
         result = train(corpus, config)
@@ -430,7 +444,7 @@ class TestOracleAgreement:
         # the oracle re-anchor on the hearer with (1 - r, r, 0), so they agree
         # on either side of r = 0.5, also near total conflict.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # delta >= 0.5
+            warnings.simplefilter("ignore", UserWarning)  # delta >= 0.5, reset_strength <= 0.5
             config = TrackerConfig(delta=delta, method=method, **index)
         plain = corpus_to_plain(corpus)
         model, oracle_model = init_model(), fresh_model()
@@ -665,6 +679,15 @@ class TestSweep:
         with pytest.warns(UserWarning, match="delta=0.5") as record:
             sweep(handtrace_corpus, TrackerConfig(method=CONST), [0.5])
         assert record[0].filename == tracker.__file__
+
+    def test_rows_do_not_repeat_the_reset_warning(self, handtrace_corpus):
+        # The config has warned when it was built; its rows share its reset strength.
+        with pytest.warns(UserWarning, match="reset_strength=0.3"):
+            config = TrackerConfig(method=CONST, reset_strength=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = sweep(handtrace_corpus, config, [0.1, 0.2])
+        assert len(rows) == 2
 
     def test_bad_delta_fails_before_training(self, handtrace_corpus, monkeypatch):
         trained = []
