@@ -29,7 +29,8 @@ _EXPORTS = {
         "TrainResult", "TurnRecord", "adjust_bpa", "credit_counters", "delta_grid", "step_predict", "sweep",
         "sweep_csv", "track", "train",
     ),
-    # RunResult is defined in tracker; read from here, it loads both tracking modules.
+    # RunResult is defined in tracker.  Read from here, `from initrack import
+    # RunResult` loads evalstats too, which perfbench's tracer patches next.
     "evalstats": (
         "CochranQResult", "ComparisonRow", "CrossValidationResult", "ErrorReport", "RunResult", "baseline_run",
         "chi_square_sf", "cochran_q", "comparison_csv", "comparison_text", "cross_validate", "error_report",
