@@ -532,8 +532,8 @@ def test_package_import_loads_no_submodule():
     )
 
 
-# Each command loads the library modules its handler runs and no other:
-# evalstats imports tracker, and tracker's modules import those before them.
+# Each command loads the library modules its handler runs and no other.  The
+# base set is what `cli` imports itself; evalstats imports tracker.
 _BASE_MODULES = ["initrack", "initrack.cli", "initrack.corpus", "initrack.cues", "initrack.evidence"]
 
 
