@@ -40,8 +40,8 @@ def _keys(dialogues: Sequence[Dialogue]) -> Iterator[int]:
     return map(itemgetter(4), chain.from_iterable(d.points for d in dialogues))
 
 
-# Byte translations: a key's low four bits to one of its bits, and a 0/1 byte to its negation.
-_BIT = [bytes((k >> b) & 1 for k in range(256)) for b in range(4)]
+# Byte translations: a key's low two bits to one of them, and a 0/1 byte to its negation.
+_BIT = [bytes((k >> b) & 1 for k in range(256)) for b in range(2)]
 _NOT = bytes([1]) + bytes(255)
 # The cue of each dialogue table, by the table's bit in a point's mask.
 _KIND_OF_BIT = {1 << i: kind for i, (kind, dim) in enumerate(TABLES) if dim is Dimension.DIALOGUE}
@@ -49,7 +49,7 @@ _KIND_OF_BIT = {1 << i: kind for i, (kind, dim) in enumerate(TABLES) if dim is D
 
 def baseline_run(corpus: Corpus) -> RunResult:
     """The no-cue predictor: the initiative stays with its current holder."""
-    bits = bytes(map(and_, _keys(corpus.dialogues), repeat(15)))
+    bits = bytes(map(and_, _keys(corpus.dialogues), repeat(3)))
     return RunResult(corpus.dialogues, *(bits.translate(table) for table in _BIT))
 
 
@@ -138,8 +138,6 @@ def error_report(run: RunResult, corpus: Corpus) -> ErrorReport:
         if points.get(dialogue.id) != len(dialogue.turns) - 1:
             raise ValueError(f"run does not match corpus: dialogue {dialogue.id!r} differs")
     keys = list(_keys(run.dialogues))
-    if len(run.ti_ok) != len(keys) or len(run.di_ok) != len(keys):
-        raise ValueError(f"{len(run.ti_ok)} outcome bytes for {len(keys)} prediction points")
     totals = Counter(keys)
     ti_errors = Counter(compress(keys, run.ti_ok.translate(_NOT)))
     di_errors = Counter(compress(keys, run.di_ok.translate(_NOT)))

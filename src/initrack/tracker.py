@@ -14,7 +14,7 @@ them, in place.  Every combination and every
 table adjustment is checked as a `MassFunction` would be; a step that fails
 the check is redone through `combine` or `MassFunction`, which raise its
 error.  A run's outcome is stored once, as a `RunResult`: its dialogues and
-four bits per prediction point.  The per-point `TurnRecord`s, named tuples
+two bits per prediction point.  The per-point `TurnRecord`s, named tuples
 built with one tuple allocation each, are derived from those on request.
 The object-level functions (`step_predict`, `adjust_bpa`, `credit_counters`,
 `run_dialogue`) are adapters over the same pieces.
@@ -123,18 +123,22 @@ class RunResult:
     """The outcomes of one tracking run, one byte per prediction point.
 
     `ti_ok` and `di_ok` hold 1 where the task/dialogue prediction named the
-    next turn's holder; `ti_speaker` and `di_speaker` hold 1 where it named
-    the predicting turn's speaker.  The points are those of `dialogues`, in
-    order, and `records` is derived from them on first access and kept.
-    Runs compare equal when their dialogues and vectors are equal, and hash
-    by the vectors alone.
+    next turn's holder.  The points are those of `dialogues`, in order, and
+    a run whose vectors do not cover them cannot be built.  `records` is
+    derived from the points and the vectors on first access and kept.  Runs
+    compare equal when their dialogues and vectors are equal, and hash by
+    the vectors alone.
     """
 
     dialogues: tuple[Dialogue, ...] = field(hash=False)
     ti_ok: bytes
     di_ok: bytes
-    ti_speaker: bytes
-    di_speaker: bytes
+
+    def __post_init__(self) -> None:
+        points = sum(len(d.turns) for d in self.dialogues) - len(self.dialogues)
+        for ok in (self.ti_ok, self.di_ok):
+            if len(ok) != points:
+                raise ValueError(f"{len(ok)} outcome bytes for {points} prediction points")
 
     def __repr__(self) -> str:
         return (
@@ -153,25 +157,23 @@ class RunResult:
             tuple(d for run in runs for d in run.dialogues),
             b"".join(run.ti_ok for run in runs),
             b"".join(run.di_ok for run in runs),
-            b"".join(run.ti_speaker for run in runs),
-            b"".join(run.di_speaker for run in runs),
         )
 
     @cached_property
     def records(self) -> tuple[TurnRecord, ...]:
-        points = sum(len(d.turns) for d in self.dialogues) - len(self.dialogues)
-        if len(self.ti_speaker) != points or len(self.di_speaker) != points:
-            raise ValueError(f"{len(self.ti_speaker)} outcome bytes for {points} prediction points")
         # tuple.__new__ builds each record in one call, skipping the
         # NamedTuple's Python-level __new__; fields in declaration order.
+        # A prediction names the speaker when it is right exactly where the
+        # next holder is the speaker.
         new, speaker, hearer = tuple.__new__, Role.SPEAKER, Role.HEARER
-        ti_speaker, di_speaker = iter(self.ti_speaker), iter(self.di_speaker)
+        ti_ok, di_ok = iter(self.ti_ok), iter(self.di_ok)
         records = []
         append = records.append
         for dialogue in self.dialogues:
             dialogue_id, turns = dialogue.id, dialogue.turns
-            # islice ends first, so zip takes no outcome bytes past the dialogue.
-            for t, turn, nxt, ti, di in zip(count(), turns, islice(turns, 1, None), ti_speaker, di_speaker):
+            # The points end first, so zip takes no outcome bytes past the dialogue.
+            for t, turn, nxt, point, ti_hit, di_hit in zip(count(), turns, islice(turns, 1, None), dialogue.points, ti_ok, di_ok):
+                ti, di = point[2] == ti_hit, point[3] == di_hit
                 append(new(TurnRecord, (
                     dialogue_id,
                     t,
@@ -310,9 +312,8 @@ def track(
     # The start index and the resets onto the speaker and the hearer.
     x, r = config.default_x, config.reset_strength
     index0, reset_s, reset_h = (x, 1.0 - x, 0.0), (r, 1.0 - r, 0.0), (1.0 - r, r, 0.0)
-    ti_ok, di_ok, ti_speaker, di_speaker = bytearray(), bytearray(), bytearray(), bytearray()
+    ti_ok, di_ok = bytearray(), bytearray()
     ti_ok_append, di_ok_append = ti_ok.append, di_ok.append
-    ti_speaker_append, di_speaker_append = ti_speaker.append, di_speaker.append
     for dialogue in dialogues:
         ts, th, tt = ds, dh, dt = index0
         for task_slots, dialogue_slots, ti_actual, di_actual, _ in dialogue.points:
@@ -320,8 +321,7 @@ def track(
                 if task_slots:
                     ts, th, tt = _fold(ts, th, tt, tables, task_slots)
                 ds, dh, dt = _fold(ds, dh, dt, tables, dialogue_slots)
-            ti_pred, di_pred = ts >= th, ds >= dh
-            ti_hit, di_hit = ti_pred == ti_actual, di_pred == di_actual
+            ti_hit, di_hit = (ts >= th) == ti_actual, (ds >= dh) == di_actual
 
             if ti_hit:
                 if counting and task_slots:
@@ -342,12 +342,10 @@ def track(
 
             ti_ok_append(ti_hit)
             di_ok_append(di_hit)
-            ti_speaker_append(ti_pred)
-            di_speaker_append(di_pred)
             # The next turn's speaker is this turn's hearer.
             ts, th = th, ts
             ds, dh = dh, ds
-    return RunResult(dialogues, bytes(ti_ok), bytes(di_ok), bytes(ti_speaker), bytes(di_speaker))
+    return RunResult(dialogues, bytes(ti_ok), bytes(di_ok))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import initrack
 
-from initrack.corpus import Corpus, GeneratorConfig, gen_synthetic
+from initrack.corpus import GeneratorConfig, gen_synthetic
 from initrack.cues import CueKind, Dimension, canonical_specs, format_model, init_model
 from initrack.evalstats import (
     ComparisonRow,
@@ -119,7 +119,7 @@ class TestRunResult:
     def test_equal_vectors_over_other_dialogues_differ(self):
         run = _run_with([True, False, True])
         other = make_dialogue("d2", ("a", "b"), [("a", "a", ())] * 4)
-        moved = RunResult((other,), run.ti_ok, run.di_ok, run.ti_speaker, run.di_speaker)
+        moved = RunResult((other,), run.ti_ok, run.di_ok)
         assert moved != run
         assert hash(moved) == hash(run)
         assert dataclasses.replace(moved, dialogues=run.dialogues) == run
@@ -142,11 +142,11 @@ class TestRunResult:
         assert run.records is run.records
 
     @pytest.mark.parametrize("points", [2, 4])
-    def test_records_reject_vectors_of_another_length(self, points):
-        run = _run_with([True] * points)
-        moved = RunResult(_run_with([True] * 3).dialogues, run.ti_ok, run.di_ok, run.ti_speaker, run.di_speaker)
-        with pytest.raises(ValueError, match=f"{points} outcome bytes for 3 prediction points"):
-            moved.records
+    def test_vectors_of_another_length_are_rejected(self, points):
+        dialogues, wrong = _run_with([True] * 3).dialogues, bytes(points)
+        for vectors in ((wrong, wrong), (wrong, bytes(3)), (bytes(3), wrong)):
+            with pytest.raises(ValueError, match=f"{points} outcome bytes for 3 prediction points"):
+                RunResult(dialogues, *vectors)
 
     def test_copies_and_pickles(self):
         for run in (baseline_run(_mixed_corpus()), _run_with([True, False])):
@@ -318,14 +318,8 @@ class TestErrorReport:
             ti = nxt
         rows.append((ti, ti, ()))
         corpus = make_corpus("err", make_dialogue("d1", ("a", "b"), rows))
-        turns = corpus.dialogues[0].turns
-        ti_speaker, di_speaker = bytearray(), bytearray()
-        for t, wrong in enumerate(wrong_plan):
-            # A wrong TI prediction names the agent that does not hold it next.
-            ti_speaker.append((turns[t + 1].ti_holder == turns[t].speaker) != wrong)
-            di_speaker.append(turns[t + 1].di_holder == turns[t].speaker)
         ti_ok = bytes(not wrong for wrong in wrong_plan)
-        run = RunResult(corpus.dialogues, ti_ok, bytes([1]) * len(wrong_plan), bytes(ti_speaker), bytes(di_speaker))
+        run = RunResult(corpus.dialogues, ti_ok, bytes([1]) * len(wrong_plan))
         assert [r.ti_correct for r in run.records] == [not wrong for wrong in wrong_plan]
         report = error_report(run, corpus)
         cell = report.cell(CueKind.INVALIDITY_ACTION, Dimension.TASK)
@@ -378,16 +372,15 @@ class TestErrorReport:
         assert len(lines) == 1 + 28
 
 
-def recount_baseline(corpus) -> tuple[bytes, bytes, bytes, bytes]:
-    """The baseline's four vectors, walked turn by turn."""
-    ti_ok, di_ok, ti_speaker, di_speaker = [], [], [], []
+def recount_baseline(corpus) -> tuple[bytes, bytes, list[tuple[str, str]]]:
+    """The baseline's two vectors and its predicted (TI, DI) agents, walked turn by turn."""
+    ti_ok, di_ok, predicted = [], [], []
     for dialogue in corpus.dialogues:
         for turn, nxt in zip(dialogue.turns, dialogue.turns[1:]):
             ti_ok.append(nxt.ti_holder == turn.ti_holder)
             di_ok.append(nxt.di_holder == turn.di_holder)
-            ti_speaker.append(turn.ti_holder == turn.speaker)
-            di_speaker.append(turn.di_holder == turn.speaker)
-    return bytes(ti_ok), bytes(di_ok), bytes(ti_speaker), bytes(di_speaker)
+            predicted.append((turn.ti_holder, turn.di_holder))
+    return bytes(ti_ok), bytes(di_ok), predicted
 
 
 def recount_errors(run: RunResult) -> list:
@@ -416,7 +409,8 @@ class TestAgainstRecount:
         tracker_config = TrackerConfig(delta=delta, method=method)
         for corpus in corpus_forms(gen_synthetic(config, seed)):
             baseline = baseline_run(corpus)
-            assert (baseline.ti_ok, baseline.di_ok, baseline.ti_speaker, baseline.di_speaker) == recount_baseline(corpus)
+            predicted = [(r.predicted_ti_agent, r.predicted_di_agent) for r in baseline.records]
+            assert (baseline.ti_ok, baseline.di_ok, predicted) == recount_baseline(corpus)
             model = init_model()
             runs = {"baseline": lambda: baseline, "train": lambda: train(corpus, tracker_config, model).run,
                     "frozen": lambda: evaluate(corpus, model, tracker_config),
@@ -436,14 +430,12 @@ class TestAgainstRecount:
         corpus = _mixed_corpus()
         run = baseline_run(corpus)
         for field in ("ti_ok", "di_ok"):
-            short = dataclasses.replace(run, **{field: getattr(run, field)[:-1]})
             with pytest.raises(ValueError):
-                error_report(short, corpus)
-        # More dialogues than the vectors cover: the corpus check passes on the first dialogue alone.
-        first = Corpus(corpus.name, corpus.dialogues[:1])
-        vectors = [v[:len(corpus.dialogues[0].turns) - 1] for v in (run.ti_ok, run.di_ok, run.ti_speaker, run.di_speaker)]
+                dataclasses.replace(run, **{field: getattr(run, field)[:-1]})
+        # More dialogues than the vectors cover: such a run cannot be built, so it never reaches error_report.
+        vectors = [v[:len(corpus.dialogues[0].turns) - 1] for v in (run.ti_ok, run.di_ok)]
         with pytest.raises(ValueError, match="outcome bytes"):
-            error_report(RunResult(corpus.dialogues, *vectors), first)
+            RunResult(corpus.dialogues, *vectors)
 
 
 def _run_with(correct: list[bool]) -> RunResult:
@@ -454,25 +446,26 @@ def _run_with(correct: list[bool]) -> RunResult:
     """
     dialogue = make_dialogue("d1", ("a", "b"), [("a", "a", ())] * (len(correct) + 1))
     ok = bytes(correct)
-    speaker = bytes(c == (t % 2 == 0) for t, c in enumerate(correct))
-    return RunResult((dialogue,), ok, ok, speaker, speaker)
+    return RunResult((dialogue,), ok, ok)
 
 
 def _restated_records(run: RunResult) -> list[dict]:
-    """Each point's record fields, read straight off the dialogues and the four vectors."""
+    """Each point's record fields, read straight off the dialogues and the two vectors:
+    a correct prediction names the next holder, a wrong one the other agent."""
     out = []
     k = 0
     for dialogue in run.dialogues:
         for t in range(len(dialogue.turns) - 1):
             turn, nxt = dialogue.turns[t], dialogue.turns[t + 1]
-            ti_agent = turn.speaker if run.ti_speaker[k] else turn.hearer
-            di_agent = turn.speaker if run.di_speaker[k] else turn.hearer
+            other = {turn.speaker: turn.hearer, turn.hearer: turn.speaker}
+            ti_agent = nxt.ti_holder if run.ti_ok[k] else other[nxt.ti_holder]
+            di_agent = nxt.di_holder if run.di_ok[k] else other[nxt.di_holder]
             out.append({
                 "dialogue_id": dialogue.id,
                 "turn_index": t,
-                "predicted_ti": Role.SPEAKER if run.ti_speaker[k] else Role.HEARER,
+                "predicted_ti": Role.SPEAKER if ti_agent == turn.speaker else Role.HEARER,
                 "predicted_ti_agent": ti_agent,
-                "predicted_di": Role.SPEAKER if run.di_speaker[k] else Role.HEARER,
+                "predicted_di": Role.SPEAKER if di_agent == turn.speaker else Role.HEARER,
                 "predicted_di_agent": di_agent,
                 "actual_ti_agent": nxt.ti_holder,
                 "actual_di_agent": nxt.di_holder,

@@ -557,12 +557,15 @@ PINNED_REPORTS = {
 
 
 def _pinned(call) -> str:
-    """A run's four outcome vectors in hex, or the type and message of its error."""
+    """A run's outcome vectors in hex, then whether each record's TI and DI
+    prediction names the speaker, one byte a point; or its error's type and message."""
     try:
         run = call()
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return " ".join(v.hex() for v in (run.ti_ok, run.di_ok, run.ti_speaker, run.di_speaker))
+    ti_speaker = bytes(r.predicted_ti is Role.SPEAKER for r in run.records)
+    di_speaker = bytes(r.predicted_di is Role.SPEAKER for r in run.records)
+    return " ".join(v.hex() for v in (run.ti_ok, run.di_ok, ti_speaker, di_speaker))
 
 
 def _reports(corpus, call) -> str:
