@@ -68,16 +68,17 @@ def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     Masses of intersecting focal elements multiply and accumulate; the
     speaker/hearer cross terms are conflict and the remainder is
     renormalized by 1 - conflict.  Total conflict has no defined result and
-    raises TotalConflictError.
+    raises TotalConflictError; so does a conflict that rounds below 1 while
+    every non-conflicting product is 0, which leaves nothing to renormalize.
     """
     conflict = m1.speaker * m2.hearer + m1.hearer * m2.speaker
     norm = 1.0 - conflict
-    if norm <= 0.0:
+    speaker = m1.speaker * m2.speaker + m1.speaker * m2.theta + m1.theta * m2.speaker
+    hearer = m1.hearer * m2.hearer + m1.hearer * m2.theta + m1.theta * m2.hearer
+    theta = m1.theta * m2.theta
+    if norm <= 0.0 or speaker + hearer + theta == 0.0:
         raise TotalConflictError("cannot combine totally conflicting mass functions")
-    speaker = (m1.speaker * m2.speaker + m1.speaker * m2.theta + m1.theta * m2.speaker) / norm
-    hearer = (m1.hearer * m2.hearer + m1.hearer * m2.theta + m1.theta * m2.hearer) / norm
-    theta = (m1.theta * m2.theta) / norm
-    return MassFunction(speaker, hearer, theta)
+    return MassFunction(speaker / norm, hearer / norm, theta / norm)
 
 
 def predicted_holder(m: MassFunction) -> Role:

@@ -53,7 +53,8 @@ def bf_combine(m1: dict[frozenset, float], m2: dict[frozenset, float]) -> dict[f
             else:
                 conflict += product
     norm = 1.0 - conflict
-    if norm <= 0.0:
+    # A conflict that rounds below 1 with nothing left to renormalize is total too.
+    if norm <= 0.0 or not any(acc.values()):
         raise OracleConflict("total conflict")
     return {k: v / norm for k, v in acc.items()}
 

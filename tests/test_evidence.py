@@ -85,6 +85,11 @@ class TestCombine:
         with pytest.raises(TotalConflictError):
             combine(MassFunction(1.0, 0.0, 0.0), MassFunction(0.0, 1.0, 0.0))
 
+    def test_conflict_below_one_with_nothing_to_renormalize(self):
+        # The conflict rounds to just under 1, and every non-conflicting product is 0.
+        with pytest.raises(TotalConflictError):
+            combine(MassFunction(0.9999999999999993, 0, 0), MassFunction(0, 0.9999999999999999, 0))
+
 
 class TestPredictedHolder:
     def test_tie_goes_to_speaker(self):

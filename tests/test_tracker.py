@@ -498,7 +498,7 @@ PINNED_RUNS = {
     ("default", "const-counter", 0.1): "7824e37a7ae0be8b7377cf2436a5e0a4d0952d003a8a438ae868a99c3c0edf06",
     ("default", "var-counter", 0.35): "7824e37a7ae0be8b7377cf2436a5e0a4d0952d003a8a438ae868a99c3c0edf06",
     ("default", "var-counter", 0.1): "7824e37a7ae0be8b7377cf2436a5e0a4d0952d003a8a438ae868a99c3c0edf06",
-    ("dense", "const", 0.35): "492fe0548af5f2ff5d3be5e23334ba5570e91c8d9032e98e9a4fa7d9285dab8e",
+    ("dense", "const", 0.35): "e56af63b389b82a66b6f04bf692cfa8a1239603f098558a1676109ee9c19f1b5",
     ("dense", "const", 0.1): "9f64f5f2520a0b1cdb6647e30ae4915891298ec82b57cc65d7b8afdcee3038e8",
     ("dense", "const-counter", 0.35): "58be30d64552091f0d9f31079df2f1e11952cb3fe0c5277f1ddc292b929261b5",
     ("dense", "const-counter", 0.1): "4bc824b25a3425b22b56e2c081b79ea82446f069192e990bd3e91196a7397607",
@@ -521,7 +521,7 @@ PINNED_SWEEPS = {
     ("dense", "const", False): "7f06cff34727a45f1fb50d9b38e9c259a399906f2d67426dedebf3043a4697c2",
     ("dense", "const", True): "64a3eb31942bad521844e01996760771ba1d45d23dd244d8e10d0bc4b08ace04",
     ("dense", "const-counter", False): "239909052f38c1ccbf6024d010df2f351131577f1d1bbd9232d9bea7e6fd11dc",
-    ("dense", "const-counter", True): "decb42cfd4d877f4b1299377b84521789667f7d5f5738392b23306ba6655ba8a",
+    ("dense", "const-counter", True): "becff0998d434628d53c80a830541da14ab011396ad60ff71709305cad31d27e",
     ("dense", "var-counter", False): "a0fd54d5111ed4720c18e5ab491e61279f42bacbfd75f9212769b5aa4e59adf9",
     ("dense", "var-counter", True): "cf1da997fa06466ca67185f226af1f72cf7d2b8e14cf3bc71bc191a587ecab2c",
 }
