@@ -282,10 +282,10 @@ def _cmd_report_errors(args: argparse.Namespace) -> str:
 def _cmd_compare(args: argparse.Namespace) -> str:
     from .evalstats import ComparisonRow, baseline_run, comparison_csv, comparison_text
 
+    corpora = [(path, _load_points(path)) for path in args.corpus]
     frozen = _frozen(args)
     rows = []
-    for path in args.corpus:
-        corpus = _load_points(path)
+    for path, corpus in corpora:
         if not any(args.focus_agent in d.agents for d in corpus.dialogues):
             raise ValueError(f"agent {args.focus_agent!r} takes part in no dialogue of corpus {corpus.name!r} ({path})")
         expert_ti = sum(t.ti_holder == args.focus_agent for d in corpus.dialogues for t in d.turns)

@@ -340,10 +340,10 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 # Reports and partitioning
 
 
-def largest_remainder_percentages(counts: Iterable[int], decimals: int = 1) -> tuple[float, ...]:
-    """Percentages rounded to `decimals` places so that they sum to exactly 100.
+def largest_remainder_percentages(counts: Iterable[int]) -> tuple[float, ...]:
+    """Percentages rounded to one decimal place so that they sum to exactly 100.
 
-    Floors every percentage at the target precision, then hands the leftover
+    Floors every percentage at that precision, then hands the leftover
     units to the cells with the largest remainders (ties broken by position).
     This is the usual convention for published distribution tables.
     """
@@ -351,7 +351,7 @@ def largest_remainder_percentages(counts: Iterable[int], decimals: int = 1) -> t
     total = sum(items)
     if total <= 0:
         raise ValueError("percentages need a positive total")
-    scale = 10 ** decimals
+    scale = 10  # tenths of a percent
     raw = [100.0 * c / total for c in items]
     floors = [math.floor(r * scale) for r in raw]
     leftover = 100 * scale - sum(floors)
@@ -393,8 +393,8 @@ class DistributionReport:
             raise ValueError("empty corpus has no distribution")
         return tuple(100.0 * c / total for c in self.cells())  # type: ignore[return-value]
 
-    def rounded_percentages(self, decimals: int = 1) -> tuple[float, ...]:
-        return largest_remainder_percentages(self.cells(), decimals)
+    def rounded_percentages(self) -> tuple[float, ...]:
+        return largest_remainder_percentages(self.cells())
 
 
 def distribution_report(corpus: Corpus, focus_agent: str) -> DistributionReport:

@@ -868,17 +868,6 @@ def _read_report(command: str, report: str) -> list[tuple]:
             for name, dim, expert, base, points, trained, _ in rows]
 
 
-def _stops_before_its_corpus(argv: list[str]) -> bool:
-    """Whether compare's model or settings fail before it reads its corpus."""
-    opts = _options(argv)
-    try:
-        load_model(opts["--model"])
-        _library_config(opts)
-    except (ValueError, OSError):
-        return True
-    return False
-
-
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 @pytest.mark.parametrize(
     "argv",
@@ -936,8 +925,8 @@ def test_every_input_ends_in_a_named_exit_code(cli_inputs, argv):
     """Exit 0, 2, 3 or 64, never 1; no traceback; stdout empty unless exit 0, and no nan then.
 
     A tracking command exits 3 on a corpus with no prediction point, and xval
-    also on one with an agent pair that has none, unless compare's model or
-    settings fail first.  Its zero exit prints what the library computes on
+    also on one with an agent pair that has none, whatever is wrong with its
+    model or settings.  Its zero exit prints what the library computes on
     the same inputs, and train's --model file holds the model that `train`
     returns.
 
@@ -958,7 +947,7 @@ def test_every_input_ends_in_a_named_exit_code(cli_inputs, argv):
     if command in TRACKING and code != 64 and "--help" not in argv:
         corpus = Path(_options(argv)["--corpus"][0]).name
         if corpus == "zero-point.dti" or (command, corpus) == ("xval", "pointless-pair.dti"):
-            assert code == (2 if command == "compare" and _stops_before_its_corpus(argv) else 3), err
+            assert code == 3, err
     if code:
         assert out == ""
         assert not out_file.exists()
