@@ -162,16 +162,16 @@ class RunResult:
     @cached_property
     def records(self) -> tuple[TurnRecord, ...]:
         # tuple.__new__ builds each record in one call, skipping the
-        # NamedTuple's Python-level __new__; fields in declaration order.
-        # A prediction names the speaker when it is right exactly where the
-        # next holder is the speaker.
+        # NamedTuple's Python-level __new__; fields in declaration order.  A
+        # prediction named the speaker exactly when its hit byte equals the
+        # point's "next holder is the speaker" bit.
         new, speaker, hearer = tuple.__new__, Role.SPEAKER, Role.HEARER
         ti_ok, di_ok = iter(self.ti_ok), iter(self.di_ok)
         records = []
         append = records.append
         for dialogue in self.dialogues:
             dialogue_id, turns = dialogue.id, dialogue.turns
-            # The points end first, so zip takes no outcome bytes past the dialogue.
+            # islice ends first, so zip takes no outcome bytes past the dialogue.
             for t, turn, nxt, point, ti_hit, di_hit in zip(count(), turns, islice(turns, 1, None), dialogue.points, ti_ok, di_ok):
                 ti, di = point[2] == ti_hit, point[3] == di_hit
                 append(new(TurnRecord, (

@@ -84,8 +84,6 @@ class TestCombine:
     def test_total_conflict(self):
         with pytest.raises(TotalConflictError):
             combine(MassFunction(1.0, 0.0, 0.0), MassFunction(0.0, 1.0, 0.0))
-
-    def test_conflict_below_one_with_nothing_to_renormalize(self):
         # The conflict rounds to just under 1, and every non-conflicting product is 0.
         with pytest.raises(TotalConflictError):
             combine(MassFunction(0.9999999999999993, 0, 0), MassFunction(0, 0.9999999999999999, 0))
