@@ -915,7 +915,11 @@ _CORPUS_EXAMPLES = [
         "compare": ["--model", "vacuous.model", "--focus-agent", "a0"],
     }.items()
     for corpus in CORPORA
-] + [["eval", "--corpus", "one-pair.dti", "--model", "saturated.model", "--teacher-forcing", "false"]]
+] + [["eval", "--corpus", "one-pair.dti", "--model", "saturated.model", "--teacher-forcing", "false"]] + [
+    # A broken model does not hide a corpus with no prediction point.
+    [command, "--corpus", "zero-point.dti", "--model", "broken.model", *extra]
+    for command, extra in (("eval", []), ("report-errors", []), ("compare", ["--focus-agent", "a0"]))
+]
 
 
 @_examples(_CORPUS_EXAMPLES)
