@@ -239,6 +239,26 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="malformed|missing"):
             parse_model("initrack-model v1\ncue=end_silence dim=task\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("initrack-model v1\ncue=end_silence dim=task m_speaker=0 m_hearer=0 m_theta=1 counter=0 extra\n",
+             "<model>:2: malformed field 'extra'"),
+            ("initrack-model v1\ncue=end_silence color=red dim=task m_speaker=0 m_hearer=0 m_theta=1 counter=0\n",
+             "<model>:2: malformed field 'color=red'"),
+            ("initrack-model v1\n\ncue=end_silence cue=end_silence dim=task m_speaker=0 m_hearer=0 m_theta=1 counter=0\n",
+             "<model>:3: malformed field 'cue=end_silence'"),
+            ("initrack-model v1\ncue=end_silence dim=topic m_speaker=0 m_hearer=0 m_theta=1 counter=0\n",
+             "<model>:2: unknown dimension 'topic'"),
+            ("", "<model>:0: empty model file"),
+            ("# a comment\n\n", "<model>:0: empty model file"),
+        ],
+    )
+    def test_error_message(self, text, message):
+        with pytest.raises(ModelFormatError) as exc:
+            parse_model(text)
+        assert str(exc.value) == message
+
     def test_missing_header(self):
         with pytest.raises(ModelFormatError, match="header"):
             parse_model("cue=end_silence dim=task m_speaker=0 m_hearer=0 m_theta=1 counter=0\n")

@@ -364,6 +364,16 @@ class TestErrorReport:
         with pytest.raises(ValueError, match="does not match"):
             error_report(run, other)
 
+    def test_run_over_other_dialogues_rejected(self):
+        # As many points in all, spread over the dialogues otherwise.
+        corpus = make_corpus("x", make_dialogue("d1", ("a", "b"), [("a", "a", ())] * 3),
+                             make_dialogue("d2", ("a", "b"), [("a", "a", ())] * 2))
+        for other in (make_corpus("y", make_dialogue("d1", ("a", "b"), [("a", "a", ())] * 2),
+                                  make_dialogue("d2", ("a", "b"), [("a", "a", ())] * 3)),
+                      make_corpus("z", make_dialogue("d3", ("a", "b"), [("a", "a", ())] * 3), corpus.dialogues[1])):
+            with pytest.raises(ValueError, match="^run does not match corpus: dialogue 'd1' differs$"):
+                error_report(baseline_run(other), corpus)
+
     def test_csv_has_all_cells(self):
         corpus = make_corpus("x", make_dialogue("d1", ("a", "b"), [("a", "a", ()), ("a", "a", ())]))
         text = error_report_csv(error_report(baseline_run(corpus), corpus))
@@ -633,6 +643,11 @@ class TestCochranQ:
         with pytest.raises(ValueError):
             cochran_q([])
 
+    @pytest.mark.parametrize("outcomes", [[1, 0], [[1, 0], 1], None])
+    def test_non_matrix_rejected(self, outcomes):
+        with pytest.raises(ValueError, match="^outcomes must be a 2-D matrix$"):
+            cochran_q(outcomes)
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="same number of treatments"):
             cochran_q([[1, 0], [0, 1, 1]])
@@ -655,6 +670,13 @@ class TestCochranQ:
         trained = _run_with([True, True, True])
         matrix = paired_outcomes(base, trained, Dimension.DIALOGUE)
         assert matrix == [[1, 1], [0, 1], [1, 1]]
+        # The task column pair reads the task vectors only.
+        split = RunResult(trained.dialogues, bytes([0, 1, 0]), trained.di_ok)
+        assert paired_outcomes(base, split, Dimension.TASK) == [[1, 0], [0, 1], [1, 0]]
+        assert paired_outcomes(base, split, Dimension.DIALOGUE) == matrix
+        for dimension in Dimension:
+            with pytest.raises(ValueError, match="^runs cover different prediction points$"):
+                paired_outcomes(base, _run_with([True, True]), dimension)
 
 
 class TestChiSquareTail:
