@@ -67,9 +67,10 @@ def _config(args: argparse.Namespace) -> TrackerConfig:
     """The run's settings; a command without --delta or --method gets `TrackerConfig`'s."""
     from .tracker import AdjustmentMethod, TrackerConfig
 
+    default = TrackerConfig()
     return TrackerConfig(
-        delta=getattr(args, "delta", TrackerConfig.delta),
-        method=AdjustmentMethod(getattr(args, "method", TrackerConfig.method.value)),
+        delta=getattr(args, "delta", default.delta),
+        method=AdjustmentMethod(getattr(args, "method", default.method.value)),
         default_x=args.default_x,
         reset_strength=args.reset_strength,
     )
@@ -84,18 +85,19 @@ def _tracker_flags() -> dict[str, dict]:
     Only a command that takes one of them calls this, and so loads `tracker`."""
     from .tracker import DEFAULT_GRID, AdjustmentMethod, TrackerConfig
 
+    default = TrackerConfig()
     return {
         "--sweep-from": dict(type=float, default=DEFAULT_GRID[0]),
         "--sweep-to": dict(type=float, default=DEFAULT_GRID[1]),
         "--sweep-step": dict(type=float, default=DEFAULT_GRID[2]),
-        "--delta": dict(type=float, default=TrackerConfig.delta, help="adjustment increment (default %(default)s)"),
+        "--delta": dict(type=float, default=default.delta, help="adjustment increment (default %(default)s)"),
         "--method": dict(
             choices=[m.value for m in AdjustmentMethod],
-            default=TrackerConfig.method.value,
+            default=default.method.value,
             help="bpa adjustment method (default %(default)s)",
         ),
-        "--default-x": dict(type=float, default=TrackerConfig.default_x, help="default speaker mass of the initiative indices"),
-        "--reset-strength": dict(type=float, default=TrackerConfig.reset_strength, help="index mass put on the actual holder after an error"),
+        "--default-x": dict(type=float, default=default.default_x, help="default speaker mass of the initiative indices"),
+        "--reset-strength": dict(type=float, default=default.reset_strength, help="index mass put on the actual holder after an error"),
     }
 
 
@@ -342,17 +344,20 @@ def _parse_prob_table(entries: list[str]) -> dict:
     return table
 
 
+_GENERATOR = GeneratorConfig()  # the defaults of gen-synthetic's flags
+
+
 @_command(
     "gen-synthetic", "generate a seeded synthetic corpus",
     _flag("--seed", type=int, default=0),
-    _flag("--name", default=GeneratorConfig.name),
-    _flag("--dialogues", type=int, default=GeneratorConfig.dialogues),
-    _flag("--turns", type=int, default=GeneratorConfig.turns_per_dialogue),
-    _flag("--pairs", type=int, default=GeneratorConfig.pairs),
+    _flag("--name", default=_GENERATOR.name),
+    _flag("--dialogues", type=int, default=_GENERATOR.dialogues),
+    _flag("--turns", type=int, default=_GENERATOR.turns_per_dialogue),
+    _flag("--pairs", type=int, default=_GENERATOR.pairs),
     _flag("--cue-emit", action="append", default=[], metavar="KIND=P", help="repeatable"),
     _flag("--cue-shift", action="append", default=[], metavar="KIND=P", help="repeatable"),
-    _flag("--base-shift-task", type=float, default=GeneratorConfig.base_shift_task),
-    _flag("--base-shift-dialogue", type=float, default=GeneratorConfig.base_shift_dialogue),
+    _flag("--base-shift-task", type=float, default=_GENERATOR.base_shift_task),
+    _flag("--base-shift-dialogue", type=float, default=_GENERATOR.base_shift_dialogue),
     _flag("--out", type=Path, default=None),
 )
 def _cmd_gen_synthetic(args: argparse.Namespace) -> str:

@@ -9,11 +9,10 @@ expected to merge consecutive same-speaker utterances into one turn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from random import Random
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .cues import CueEffect, CueKind, CueTable, Point, PointTable, UnknownCueError, canonical_specs, parse_cue, point_table
 from .evidence import Role
@@ -36,68 +35,72 @@ class DegenerateStatisticError(ValueError):
     """Raised when a statistic is undefined on the given data (0/0 chance terms)."""
 
 
-@dataclass(frozen=True)
-class Turn:
-    speaker: str
-    hearer: str
-    ti_holder: str
-    di_holder: str
-    cues: tuple[CueKind, ...] = ()
-    # Derived: the 2x2 sub-table of `point_table(cues)` for the turn's current holders.
-    point_table: PointTable = field(init=False, compare=False, repr=False)
+def _read_only(self: object, name: str, *value: object) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
-    def __post_init__(self) -> None:
-        if self.speaker == self.hearer:
+
+class Turn(NamedTuple("Turn", [("speaker", str), ("hearer", str), ("ti_holder", str), ("di_holder", str),
+                               ("cues", tuple)])):
+    """One turn: a named tuple whose constructor, and so `_replace`, checks it.
+
+    `point_table`, the 2x2 sub-table of `point_table(cues)` for the turn's
+    current holders, is derived and kept beside the fields: it takes no part
+    in equality, hashing or repr.
+    """
+
+    def __new__(cls, speaker: str, hearer: str, ti_holder: str, di_holder: str, cues: tuple[CueKind, ...] = ()) -> Turn:
+        if speaker == hearer:
             raise ValueError("speaker and hearer must differ")
-        pair = {self.speaker, self.hearer}
-        if self.ti_holder not in pair or self.di_holder not in pair:
+        pair = {speaker, hearer}
+        if ti_holder not in pair or di_holder not in pair:
             raise ValueError("initiative holders must be one of the turn's two agents")
-        if not isinstance(self.cues, tuple) or not all(type(kind) is CueKind for kind in self.cues):
-            raise ValueError(f"cues must be a tuple of CueKind members, got {self.cues!r}")
-        if len(set(self.cues)) != len(self.cues):
+        if not isinstance(cues, tuple) or not all(type(kind) is CueKind for kind in cues):
+            raise ValueError(f"cues must be a tuple of CueKind members, got {cues!r}")
+        if len(set(cues)) != len(cues):
             raise ValueError("duplicate cue in turn")
-        object.__setattr__(self, "point_table", point_table(self.cues)[self.ti_holder == self.speaker][self.di_holder == self.speaker])
+        return cls._prechecked(speaker, hearer, ti_holder, di_holder, cues)
 
     @classmethod
     def _prechecked(cls, speaker: str, hearer: str, ti_holder: str, di_holder: str, cues: tuple[CueKind, ...], table: CueTable | None = None) -> Turn:
         """A turn whose agents, holders and cues the caller has already checked; `table`, if given, is `point_table(cues)`."""
-        turn = object.__new__(cls)
-        set_field = object.__setattr__
-        set_field(turn, "speaker", speaker)
-        set_field(turn, "hearer", hearer)
-        set_field(turn, "ti_holder", ti_holder)
-        set_field(turn, "di_holder", di_holder)
-        set_field(turn, "cues", cues)
-        set_field(turn, "point_table", (point_table(cues) if table is None else table)[ti_holder == speaker][di_holder == speaker])
+        turn = tuple.__new__(cls, (speaker, hearer, ti_holder, di_holder, cues))
+        turn.__dict__["point_table"] = (point_table(cues) if table is None else table)[ti_holder == speaker][di_holder == speaker]
         return turn
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` builds its copy through `_make`
+    __setattr__ = __delattr__ = _read_only
 
-@dataclass(frozen=True)
-class Dialogue:
-    id: str
-    agents: tuple[str, str]
-    turns: tuple[Turn, ...]
 
-    def __post_init__(self) -> None:
-        a, b = self.agents
+class Dialogue(NamedTuple("Dialogue", [("id", str), ("agents", tuple), ("turns", tuple)])):
+    """One dialogue: a named tuple whose constructor, and so `_replace`, checks it.
+
+    `points` is derived on first access and kept beside the fields, out of
+    equality, hashing, repr, copies and pickles.
+    """
+
+    def __new__(cls, id: str, agents: tuple[str, str], turns: tuple[Turn, ...]) -> Dialogue:
+        a, b = agents
         if not a or not b or a == b:
-            raise ValueError(f"dialogue {self.id}: agents must be two distinct non-empty names")
-        if not self.turns:
-            raise ValueError(f"dialogue {self.id}: no turns")
-        for i, turn in enumerate(self.turns):
+            raise ValueError(f"dialogue {id}: agents must be two distinct non-empty names")
+        if not turns:
+            raise ValueError(f"dialogue {id}: no turns")
+        for i, turn in enumerate(turns):
             if {turn.speaker, turn.hearer} != {a, b}:
-                raise ValueError(f"dialogue {self.id}: turn {i + 1} names a foreign agent")
-            if i and turn.speaker == self.turns[i - 1].speaker:
-                raise ValueError(f"dialogue {self.id}: speakers must alternate (turn {i + 1})")
+                raise ValueError(f"dialogue {id}: turn {i + 1} names a foreign agent")
+            if i and turn.speaker == turns[i - 1].speaker:
+                raise ValueError(f"dialogue {id}: speakers must alternate (turn {i + 1})")
+        return tuple.__new__(cls, (id, agents, turns))
 
     @classmethod
     def _prechecked(cls, id: str, agents: tuple[str, str], turns: tuple[Turn, ...]) -> Dialogue:
         """A dialogue whose agents, turns and alternation the caller has already checked."""
-        dialogue = object.__new__(cls)
-        object.__setattr__(dialogue, "id", id)
-        object.__setattr__(dialogue, "agents", agents)
-        object.__setattr__(dialogue, "turns", turns)
-        return dialogue
+        return tuple.__new__(cls, (id, agents, turns))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+    __setattr__ = __delattr__ = _read_only
+
+    def __getstate__(self) -> None:
+        return None  # copies and pickles carry the fields, not the derived points
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -106,20 +109,19 @@ class Dialogue:
         return tuple([turn.point_table[nxt.ti_holder == turn.speaker][nxt.di_holder == turn.speaker]
                       for turn, nxt in zip(turns, turns[1:])])
 
-    def __getstate__(self) -> dict:
-        # Copies and pickles leave out the cached points, which are derived.
-        return {name: value for name, value in self.__dict__.items() if name != "points"}
 
+class Corpus(NamedTuple("Corpus", [("name", str), ("dialogues", tuple)])):
+    """A named set of dialogues: a named tuple whose constructor, and so `_replace`, checks it."""
 
-@dataclass(frozen=True)
-class Corpus:
-    name: str
-    dialogues: tuple[Dialogue, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ids = [d.id for d in self.dialogues]
+    def __new__(cls, name: str, dialogues: tuple[Dialogue, ...]) -> Corpus:
+        ids = [d.id for d in dialogues]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate dialogue id")
+        return tuple.__new__(cls, (name, dialogues))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def turn_count(self) -> int:
@@ -361,8 +363,7 @@ def largest_remainder_percentages(counts: Iterable[int]) -> tuple[float, ...]:
     return tuple(f / scale for f in floors)
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(NamedTuple):
     """Joint counts of task/dialogue initiative holders relative to a focus agent.
 
     Cells are kept in distribution-table row order: the DI=focus row first
@@ -439,42 +440,46 @@ def partition_by_pair(corpus: Corpus) -> list[tuple[tuple[str, str], Corpus]]:
 # turn with a configured probability.
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Configuration for gen_synthetic.
+class GeneratorConfig(NamedTuple("GeneratorConfig", [
+    ("name", str), ("dialogues", int), ("turns_per_dialogue", int), ("pairs", int), ("cue_emit", Mapping[CueKind, float]),
+    ("cue_shift", Mapping[CueKind, float]), ("base_shift_task", float), ("base_shift_dialogue", float),
+])):
+    """Configuration for gen_synthetic: a named tuple whose constructor, and so `_replace`, checks it.
 
     cue_emit gives each cue's per-turn emission probability; cue_shift gives
     the probability that an emitted cue actually hands the initiative(s) in
     its effect scope to its expected holder for the next turn.  Cues missing
-    from cue_shift are pure noise.  base_shift_* flip a holder spontaneously
-    after the cue rules have been applied.
+    from cue_shift are pure noise; either table left out is a new empty
+    dict.  base_shift_* flip a holder spontaneously after the cue rules
+    have been applied.
     """
 
-    name: str = "synthetic"
-    dialogues: int = 8
-    turns_per_dialogue: int = 20
-    pairs: int = 1
-    cue_emit: Mapping[CueKind, float] = field(default_factory=dict)
-    cue_shift: Mapping[CueKind, float] = field(default_factory=dict)
-    base_shift_task: float = 0.0
-    base_shift_dialogue: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, name: str = "synthetic", dialogues: int = 8, turns_per_dialogue: int = 20, pairs: int = 1,
+                cue_emit: Mapping[CueKind, float] | None = None, cue_shift: Mapping[CueKind, float] | None = None,
+                base_shift_task: float = 0.0, base_shift_dialogue: float = 0.0) -> GeneratorConfig:
+        cue_emit = {} if cue_emit is None else cue_emit
+        cue_shift = {} if cue_shift is None else cue_shift
         try:
-            _check_token("name", self.name)
+            _check_token("name", name)
         except ValueError as exc:
             raise GeneratorConfigError(str(exc)) from None
-        if self.dialogues < 1 or self.turns_per_dialogue < 1:
+        if dialogues < 1 or turns_per_dialogue < 1:
             raise GeneratorConfigError("need at least one dialogue and one turn per dialogue")
-        if not 1 <= self.pairs <= self.dialogues:
+        if not 1 <= pairs <= dialogues:
             raise GeneratorConfigError("pairs must be between 1 and the number of dialogues")
-        for label, table in (("cue_emit", self.cue_emit), ("cue_shift", self.cue_shift)):
+        for label, table in (("cue_emit", cue_emit), ("cue_shift", cue_shift)):
             for kind, p in table.items():
                 if not 0.0 <= p <= 1.0:
                     raise GeneratorConfigError(f"{label}[{kind}] must be a probability, got {p!r}")
-        for label, p in (("base_shift_task", self.base_shift_task), ("base_shift_dialogue", self.base_shift_dialogue)):
+        for label, p in (("base_shift_task", base_shift_task), ("base_shift_dialogue", base_shift_dialogue)):
             if not 0.0 <= p <= 1.0:
                 raise GeneratorConfigError(f"{label} must be a probability, got {p!r}")
+        return tuple.__new__(cls, (name, dialogues, turns_per_dialogue, pairs, cue_emit, cue_shift, base_shift_task,
+                                   base_shift_dialogue))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def gen_synthetic(config: GeneratorConfig, seed: int) -> Corpus:

@@ -10,10 +10,10 @@ tables in model-file order, and a `CueModel` stores them in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .evidence import MassFunction, Role
 
@@ -85,8 +85,7 @@ class CueKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CueSpec:
+class CueSpec(NamedTuple):
     """Static taxonomy entry: recognition class, effect scope, expected holder.
 
     `expected_holder` is descriptive metadata (who typically takes over when
@@ -209,16 +208,25 @@ class CueParams:
     task_counter = _table_field(Dimension.TASK, counter=True)
 
 
-@dataclass
 class CueModel:
     """The learned tables: one `[speaker, hearer, theta]` mass list and one
     credit counter per entry of `TABLES`, in model-file order.
 
-    `params` views the same tables per cue kind.
+    `params` views the same tables per cue kind.  Models compare equal when
+    their tables are equal.
     """
 
-    masses: list[list[float]]
-    counters: list[int]
+    def __init__(self, masses: list[list[float]], counters: list[int]) -> None:
+        self.masses = masses
+        self.counters = counters
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.masses, self.counters) == (other.masses, other.counters)
+
+    def __repr__(self) -> str:
+        return f"CueModel(masses={self.masses!r}, counters={self.counters!r})"
 
     @cached_property
     def params(self) -> dict[CueKind, CueParams]:

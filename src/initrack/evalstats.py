@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import add, and_, itemgetter
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus, DegenerateStatisticError, Dialogue, partition_by_pair
 from .cues import TABLES, CueKind, CueModel, Dimension, canonical_specs
@@ -53,14 +52,12 @@ def baseline_run(corpus: Corpus) -> RunResult:
     return RunResult(corpus.dialogues, *(bits.translate(table) for table in _BIT))
 
 
-@dataclass(frozen=True)
-class Fold:
+class Fold(NamedTuple):
     pair: tuple[str, str]
     result: RunResult
 
 
-@dataclass(frozen=True)
-class CrossValidationResult:
+class CrossValidationResult(NamedTuple):
     folds: tuple[Fold, ...]
 
     @property
@@ -104,16 +101,23 @@ def fold_table_csv(xval: CrossValidationResult) -> str:
 # Error report (per-cue shift / no-shift tallies)
 
 
-@dataclass
 class ErrorCell:
-    shift_errors: int = 0
-    shift_total: int = 0
-    noshift_errors: int = 0
-    noshift_total: int = 0
+    """One (cue, dimension) tally: errors and totals at shift and no-shift points."""
+
+    def __init__(self, shift_errors: int = 0, shift_total: int = 0, noshift_errors: int = 0, noshift_total: int = 0) -> None:
+        self.shift_errors = shift_errors
+        self.shift_total = shift_total
+        self.noshift_errors = noshift_errors
+        self.noshift_total = noshift_total
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ErrorCell({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Per (cue, dimension) tallies of shift vs. no-shift prediction points."""
 
     cells: dict[tuple[CueKind, Dimension], ErrorCell]
@@ -190,8 +194,7 @@ def error_report_text(report: ErrorReport) -> str:
 # Comparison table
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     corpus_name: str
     baseline: RunResult
     trained: RunResult
@@ -280,8 +283,7 @@ def kappa(ratings: Sequence[Sequence[Hashable]]) -> float:
     return (p_observed - p_expected) / (1.0 - p_expected)
 
 
-@dataclass(frozen=True)
-class CochranQResult:
+class CochranQResult(NamedTuple):
     statistic: float
     df: int
     p_value: float

@@ -9,8 +9,8 @@ Dempster's rule of combination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 SUM_TOLERANCE = 1e-9
 
@@ -27,27 +27,27 @@ class Role(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class MassFunction:
+class MassFunction(NamedTuple("MassFunction", [("speaker", float), ("hearer", float), ("theta", float)])):
     """Basic probability assignment over {speaker}, {hearer} and the frame.
 
     `theta` is the mass left on the whole frame, i.e. belief committed to
     neither role.  Components are non-negative and sum to 1; the empty set
-    carries no mass.
+    carries no mass.  A named tuple whose constructor, and so `_replace`,
+    checks this.
     """
 
-    speaker: float
-    hearer: float
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("speaker", "hearer", "theta"):
-            value = getattr(self, name)
+    def __new__(cls, speaker: float, hearer: float, theta: float) -> MassFunction:
+        for name, value in (("speaker", speaker), ("hearer", hearer), ("theta", theta)):
             if math.isnan(value) or value < 0.0:
                 raise ValueError(f"mass on {name} must be >= 0, got {value!r}")
-        total = self.speaker + self.hearer + self.theta
+        total = speaker + hearer + theta
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValueError(f"masses must sum to 1, got {total!r}")
+        return tuple.__new__(cls, (speaker, hearer, theta))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` builds its copy through `_make`
 
 
 def vacuous() -> MassFunction:

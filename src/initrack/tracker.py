@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import count, islice
 from typing import NamedTuple, Sequence
 
-from .corpus import Corpus, Dialogue
+from .corpus import Corpus, Dialogue, _read_only
 from .cues import CueKind, CueModel, Dimension, init_model, point_table
 from .evidence import SUM_TOLERANCE, MassFunction, Role, combine, predicted_holder
 
@@ -44,39 +43,40 @@ class AdjustmentMethod(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TrackerConfig:
-    delta: float = 0.35
-    method: AdjustmentMethod = AdjustmentMethod.CONSTANT_INCREMENT_WITH_COUNTER
-    default_x: float = 0.5
-    reset_strength: float = 0.75
+class TrackerConfig(NamedTuple("TrackerConfig", [("delta", float), ("method", AdjustmentMethod), ("default_x", float),
+                                                 ("reset_strength", float)])):
+    """A run's settings: a named tuple whose constructor, and so `_replace`, checks them."""
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if self.delta >= 0.5:
+    __slots__ = ()
+
+    def __new__(cls, delta: float = 0.35, method: AdjustmentMethod = AdjustmentMethod.CONSTANT_INCREMENT_WITH_COUNTER,
+                default_x: float = 0.5, reset_strength: float = 0.75) -> TrackerConfig:
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+        if delta >= 0.5:
             # A single observation would then out-mass the even prior.
-            warnings.warn(f"delta={self.delta} is outside the recommended (0, 0.5) range", stacklevel=3)
-        if not 0.0 <= self.default_x <= 1.0:
-            raise ValueError(f"default_x must lie in [0, 1], got {self.default_x!r}")
-        if not 0.0 < self.reset_strength < 1.0:
+            warnings.warn(f"delta={delta} is outside the recommended (0, 0.5) range", stacklevel=2)
+        if not 0.0 <= default_x <= 1.0:
+            raise ValueError(f"default_x must lie in [0, 1], got {default_x!r}")
+        if not 0.0 < reset_strength < 1.0:
             # 0 or 1 would make the index absorbing under combination.
-            raise ValueError(f"reset_strength must lie strictly in (0, 1), got {self.reset_strength!r}")
-        if self.reset_strength <= 0.5:
+            raise ValueError(f"reset_strength must lie strictly in (0, 1), got {reset_strength!r}")
+        if reset_strength <= 0.5:
             # A reset would then leave the index predicting the other agent.
-            warnings.warn(f"reset_strength={self.reset_strength} is outside the recommended (0.5, 1) range", stacklevel=3)
+            warnings.warn(f"reset_strength={reset_strength} is outside the recommended (0.5, 1) range", stacklevel=2)
+        return tuple.__new__(cls, (delta, method, default_x, reset_strength))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` builds its copy through `_make`
 
 
-@dataclass(frozen=True)
-class TrackerState:
+class TrackerState(NamedTuple):
     """Current initiative indices, in the current turn's speaker/hearer frame."""
 
     m_t_cur: MassFunction
     m_d_cur: MassFunction
 
 
-@dataclass(frozen=True)
-class StepPrediction:
+class StepPrediction(NamedTuple):
     m_t_new: MassFunction
     m_d_new: MassFunction
     ti_role: Role
@@ -118,27 +118,29 @@ def _ratio(count: int, total: int) -> float:
     return count / total if total else float("nan")
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple("RunResult", [("dialogues", tuple), ("ti_ok", bytes), ("di_ok", bytes)])):
     """The outcomes of one tracking run, one byte per prediction point.
 
     `ti_ok` and `di_ok` hold 1 where the task/dialogue prediction named the
     next turn's holder.  The points are those of `dialogues`, in order, and
-    a run whose vectors do not cover them cannot be built.  `records` is
-    derived from the points and the vectors on first access and kept.  Runs
-    compare equal when their dialogues and vectors are equal, and hash by
-    the vectors alone.
+    a run whose vectors do not cover them cannot be built, by the
+    constructor or by `_replace`.  `records` is derived from the points and
+    the vectors on first access and kept.  Runs compare equal when their
+    dialogues and vectors are equal, and hash by the vectors alone.
     """
 
-    dialogues: tuple[Dialogue, ...] = field(hash=False)
-    ti_ok: bytes
-    di_ok: bytes
-
-    def __post_init__(self) -> None:
-        points = sum(len(d.turns) for d in self.dialogues) - len(self.dialogues)
-        for ok in (self.ti_ok, self.di_ok):
+    def __new__(cls, dialogues: tuple[Dialogue, ...], ti_ok: bytes, di_ok: bytes) -> RunResult:
+        points = sum(len(d.turns) for d in dialogues) - len(dialogues)
+        for ok in (ti_ok, di_ok):
             if len(ok) != points:
                 raise ValueError(f"{len(ok)} outcome bytes for {points} prediction points")
+        return tuple.__new__(cls, (dialogues, ti_ok, di_ok))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+    __setattr__ = __delattr__ = _read_only
+
+    def __hash__(self) -> int:
+        return hash((self.ti_ok, self.di_ok))
 
     def __repr__(self) -> str:
         return (
@@ -146,9 +148,8 @@ class RunResult:
             f"dialogue_correct={self.dialogue_correct})"
         )
 
-    def __getstate__(self) -> dict:
-        # Copies and pickles leave out the cached records, which are derived.
-        return {name: value for name, value in self.__dict__.items() if name != "records"}
+    def __getstate__(self) -> None:
+        return None  # copies and pickles carry the fields, not the derived records
 
     @classmethod
     def concat(cls, runs: Sequence[RunResult]) -> RunResult:
@@ -403,8 +404,7 @@ def run_dialogue(
     return list(track((dialogue,), model, config, learn=learn, reset_on_error=reset_on_error).records)
 
 
-@dataclass(frozen=True)
-class TrainResult:
+class TrainResult(NamedTuple):
     model: CueModel
     run: RunResult
 
@@ -453,8 +453,7 @@ def delta_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(grid)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     delta: float
     task_accuracy: float
     dialogue_accuracy: float
@@ -486,8 +485,7 @@ def sweep(
             # The rows share config's reset_strength, which has warned once already.
             warnings.filterwarnings("ignore", "reset_strength=")
             for delta in sorted(deltas):
-                # Built here, not by dataclasses.replace, so a warning names this file.
-                configs.append(TrackerConfig(delta=delta, method=config.method, default_x=config.default_x, reset_strength=config.reset_strength))
+                configs.append(config._replace(delta=delta))
         for run_config in configs:
             delta = run_config.delta
             if cross_validated:

@@ -568,8 +568,10 @@ def test_command_loads_only_what_it_runs(argv, loads, synth_corpus, tmp_path):
         "from initrack.cli import main\n"
         f"with redirect_stdout(StringIO()):\n    code = main({argv!r})\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('initrack')))\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
     )
-    assert _fresh(code) == f"0 {sorted([*_BASE_MODULES, *(f'initrack.{m}' for m in loads)])}\n"
+    # No command needs `dataclasses` or the `inspect` module it loads.
+    assert _fresh(code) == f"0 {sorted([*_BASE_MODULES, *(f'initrack.{m}' for m in loads)])}\n[]\n"
 
 
 def test_every_public_name_reads_its_module(monkeypatch):
@@ -759,13 +761,14 @@ def _options(argv: list[str]) -> dict:
 
 def _library_config(opts: dict) -> TrackerConfig:
     """The config of a run with these flags, each flag left out taking `TrackerConfig`'s default."""
+    default = TrackerConfig()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # delta >= 0.5, reset_strength <= 0.5
         return TrackerConfig(
-            delta=float(opts.get("--delta", TrackerConfig.delta)),
-            method=AdjustmentMethod(opts.get("--method", TrackerConfig.method.value)),
-            default_x=float(opts.get("--default-x", TrackerConfig.default_x)),
-            reset_strength=float(opts.get("--reset-strength", TrackerConfig.reset_strength)),
+            delta=float(opts.get("--delta", default.delta)),
+            method=AdjustmentMethod(opts.get("--method", default.method.value)),
+            default_x=float(opts.get("--default-x", default.default_x)),
+            reset_strength=float(opts.get("--reset-strength", default.reset_strength)),
         )
 
 

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -265,10 +264,10 @@ class TestFirstSeenLines:
         assert vars(prechecked) == vars(checked)
         for clone in (pickle.loads(pickle.dumps(prechecked)), copy.deepcopy(prechecked), copy.copy(prechecked)):
             assert type(clone) is Turn and clone == checked and hash(clone) == hash(checked)
-        assert dataclasses.replace(prechecked, ti_holder="sys") == dataclasses.replace(checked, ti_holder="sys")
+        assert prechecked._replace(ti_holder="sys") == checked._replace(ti_holder="sys")
         with pytest.raises(ValueError, match="initiative holders"):
-            dataclasses.replace(prechecked, ti_holder="nobody")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+            prechecked._replace(ti_holder="nobody")
+        with pytest.raises(AttributeError):
             prechecked.speaker = "usr"
 
 
@@ -416,7 +415,7 @@ class TestInvariants:
             Dialogue("d", ("a", "c"), (t1,))
         parsed = parse_corpus(SAMPLE).dialogues[0]
         with pytest.raises(ValueError, match="alternate"):
-            dataclasses.replace(parsed, turns=parsed.turns[:1] * 2)
+            parsed._replace(turns=parsed.turns[:1] * 2)
 
     @pytest.mark.parametrize(
         ("name", "did", "agents", "bad"),
@@ -664,14 +663,14 @@ class TestPoints:
         assert repr(turn) == "Turn(speaker='a', hearer='b', ti_holder='a', di_holder='b', cues=(<CueKind.END_SILENCE: 'end_silence'>,))"
         # The sub-table for the turn's holders: TI with its speaker, DI with its hearer.
         assert turn.point_table == point_table(turn.cues)[True][False]
-        changed = dataclasses.replace(turn, cues=(CueKind.QUESTION_DOMAIN, CueKind.SUBOPTIMALITY))
+        changed = turn._replace(cues=(CueKind.QUESTION_DOMAIN, CueKind.SUBOPTIMALITY))
         assert changed.point_table == point_table((CueKind.QUESTION_DOMAIN, CueKind.SUBOPTIMALITY))[True][False]
         for ti, di in itertools.product("ab", repeat=2):
-            moved = dataclasses.replace(turn, ti_holder=ti, di_holder=di)
+            moved = turn._replace(ti_holder=ti, di_holder=di)
             assert moved.point_table == point_table(turn.cues)[ti == "a"][di == "a"]
-        assert dataclasses.replace(changed, cues=turn.cues) == turn
-        with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(turn, point_table=point_table(()))
+        assert changed._replace(cues=turn.cues) == turn
+        with pytest.raises(ValueError, match=r"unexpected field names: \['point_table'\]"):
+            turn._replace(point_table=point_table(()))
 
     def test_copies_and_pickles_leave_out_the_points(self):
         corpus = gen_synthetic(README_CONFIG, 7)

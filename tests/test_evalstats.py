@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import os
 import pickle
@@ -122,13 +121,13 @@ class TestRunResult:
         moved = RunResult((other,), run.ti_ok, run.di_ok)
         assert moved != run
         assert hash(moved) == hash(run)
-        assert dataclasses.replace(moved, dialogues=run.dialogues) == run
+        assert moved._replace(dialogues=run.dialogues) == run
 
     def test_frozen(self):
         run = baseline_run(_mixed_corpus())
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             run.ti_ok = b""
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             del run.dialogues
 
     def test_repr_names_the_counts(self):
@@ -441,7 +440,7 @@ class TestAgainstRecount:
         run = baseline_run(corpus)
         for field in ("ti_ok", "di_ok"):
             with pytest.raises(ValueError):
-                dataclasses.replace(run, **{field: getattr(run, field)[:-1]})
+                run._replace(**{field: getattr(run, field)[:-1]})
         # More dialogues than the vectors cover: such a run cannot be built, so it never reaches error_report.
         vectors = [v[:len(corpus.dialogues[0].turns) - 1] for v in (run.ti_ok, run.di_ok)]
         with pytest.raises(ValueError, match="outcome bytes"):

@@ -49,7 +49,7 @@ class TestConfig:
             TrackerConfig(delta=0.6)
 
     def test_warning_names_the_caller(self):
-        # Not the dataclass-generated __init__, which has no file.
+        # The caller's file, not the constructor's.
         with pytest.warns(UserWarning) as record:
             TrackerConfig(delta=0.6)
         assert record[0].filename == __file__
@@ -677,8 +677,8 @@ class TestSweep:
         assert [r.delta for r in rows] == [0.1, 0.2, 0.3]
 
     def test_warning_names_the_tracker(self, handtrace_corpus):
-        # Not dataclasses.py, where a config built by dataclasses.replace
-        # would place it.
+        # Not collections, where `_replace` is defined: the copy is built
+        # by the tracker's own `_make`.
         with pytest.warns(UserWarning, match="delta=0.5") as record:
             sweep(handtrace_corpus, TrackerConfig(method=CONST), [0.5])
         assert record[0].filename == tracker.__file__
