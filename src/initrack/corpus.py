@@ -14,7 +14,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, NamedTuple
 
-from .cues import CueEffect, CueKind, CueTable, Point, PointTable, UnknownCueError, canonical_specs, parse_cue, point_table
+from .cues import CueEffect, CueKind, CueTable, Point, UnknownCueError, canonical_specs, parse_cue, point_table
 from .evidence import Role
 
 

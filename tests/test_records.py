@@ -1,7 +1,7 @@
 """The library's records: each constructor check, message by message.
 
 A record's checks hold however it is made, by its constructor or by a copy
-with changes, and no record takes an assignment.
+with changes (`_replace`), and no record takes an assignment.
 """
 
 import math
@@ -76,11 +76,6 @@ CHECKS = [
 CHECK_IDS = [f"{cls.__name__}-{'-'.join(changes)}-{i}" for i, (cls, changes, _, _) in enumerate(CHECKS)]
 
 
-def copy_with(record, **changes):
-    """The record's copy with `changes`, made as its users make one."""
-    return record._replace(**changes)
-
-
 @pytest.mark.parametrize("cls, changes, error, message", CHECKS, ids=CHECK_IDS)
 def test_constructor_checks(cls, changes, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -91,14 +86,14 @@ def test_constructor_checks(cls, changes, error, message):
 def test_copy_with_changes_checks(cls, changes, error, message):
     record = cls(**VALID[cls])
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        copy_with(record, **changes)
+        record._replace(**changes)
 
 
 @pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
 def test_copy_with_valid_changes(cls):
     record = cls(**VALID[cls])
-    assert type(copy_with(record)) is cls and copy_with(record) == record
-    assert copy_with(record, **VALID[cls]) == record
+    assert type(record._replace()) is cls and record._replace() == record
+    assert record._replace(**VALID[cls]) == record
 
 
 @pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
@@ -149,7 +144,7 @@ def test_equality_hash_and_repr(cls):
             hash(record)
     else:
         assert hash(record) == hash(again)
-    assert record != copy_with(record, **OTHER[cls])
+    assert record != record._replace(**OTHER[cls])
 
 
 def test_error_cells_compare_by_value():
