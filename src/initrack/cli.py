@@ -41,19 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-class _CommandParser(_Parser):
-    """A subcommand's parser: it reports its own unrecognised arguments, with
-    its own usage, instead of handing them up to the top-level parser."""
-
-    def parse_known_args(  # type: ignore[override]
-        self, args: Sequence[str] | None = None, namespace: argparse.Namespace | None = None
-    ) -> tuple[argparse.Namespace, list[str]]:
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
-
-
 def _parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -65,15 +52,9 @@ def _parse_bool(value: str) -> bool:
 
 def _config(args: argparse.Namespace) -> TrackerConfig:
     """The run's settings; a command without --delta or --method gets `TrackerConfig`'s."""
-    from .tracker import AdjustmentMethod, TrackerConfig
+    from .tracker import TrackerConfig
 
-    default = TrackerConfig()
-    return TrackerConfig(
-        delta=getattr(args, "delta", default.delta),
-        method=AdjustmentMethod(getattr(args, "method", default.method.value)),
-        default_x=args.default_x,
-        reset_strength=args.reset_strength,
-    )
+    return TrackerConfig(**{f: getattr(args, f) for f in TrackerConfig._fields if hasattr(args, f)})
 
 
 def _flag(name: str, **options) -> tuple[str, dict]:
@@ -116,35 +97,40 @@ _FROZEN = (_CORPUS, _MODEL, _TEACHER_FORCING, *_INDEX, *_OUTPUT)
 _Handler = Callable[[argparse.Namespace], str]
 # A flag: (name, options), or a name alone whose options `_tracker_flags` gives.
 _Flag = str | tuple[str, dict]
-# (name, summary, flags, handler) of each subcommand, in --help order.
-_COMMANDS: list[tuple[str, str, tuple[_Flag, ...], _Handler]] = []
+# name: (summary, flags, handler) of each subcommand, in --help order.
+_COMMANDS: dict[str, tuple[str, tuple[_Flag, ...], _Handler]] = {}
 
 
 def _command(name: str, summary: str, *flags: _Flag) -> Callable[[_Handler], _Handler]:
     """Register the decorated handler as subcommand `name`, taking `flags`."""
 
     def register(handler: _Handler) -> _Handler:
-        _COMMANDS.append((name, summary, flags, handler))
+        _COMMANDS[name] = (summary, flags, handler)
         return handler
 
     return register
 
 
-def _build_parser(argv: Sequence[str]) -> _Parser:
-    """The parser of `argv`.  Only the subparser argparse will select, that of
-    the first argument naming a command, gets its flags: the others are never
-    used, and their flags would load `tracker` to read its defaults."""
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments of `argv`.  When `argv[0]` names a command, only that
+    command's parser is built, and it parses the rest.  Otherwise the
+    top-level parser, whose subcommands take no flags, prints --help or a
+    usage error, and exits either way."""
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        _, flags, handler = _COMMANDS[name]
+        parser = _Parser(prog=f"initrack {name}")
+        tracker_flags = _tracker_flags() if any(isinstance(flag, str) for flag in flags) else {}
+        for flag in flags:
+            flag, options = (flag, tracker_flags[flag]) if isinstance(flag, str) else flag
+            parser.add_argument(flag, **options)
+        parser.set_defaults(func=handler)
+        return parser.parse_args(argv[1:])
     parser = _Parser(prog="initrack", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    names = [command[0] for command in _COMMANDS]
-    selected = next((arg for arg in argv if arg in names), None)
-    for name, summary, flags, handler in _COMMANDS:
-        p = sub.add_parser(name, help=summary)
-        for flag in flags if name == selected else ():
-            flag, options = (flag, _tracker_flags()[flag]) if isinstance(flag, str) else flag
-            p.add_argument(flag, **options)
-        p.set_defaults(func=handler)
-    return parser
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=summary)
+    return parser.parse_args(argv)
 
 
 def _accuracy_lines(label_results: list[tuple[str, RunResult]], fmt: str) -> str:
@@ -377,7 +363,7 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     # The command's text is written only once it has returned, so a failing

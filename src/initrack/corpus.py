@@ -471,6 +471,8 @@ class GeneratorConfig(NamedTuple("GeneratorConfig", [
             raise GeneratorConfigError("pairs must be between 1 and the number of dialogues")
         for label, table in (("cue_emit", cue_emit), ("cue_shift", cue_shift)):
             for kind, p in table.items():
+                if type(kind) is not CueKind:
+                    raise GeneratorConfigError(f"{label} key {kind!r} must be a CueKind member")
                 if not 0.0 <= p <= 1.0:
                     raise GeneratorConfigError(f"{label}[{kind}] must be a probability, got {p!r}")
         for label, p in (("base_shift_task", base_shift_task), ("base_shift_dialogue", base_shift_dialogue)):

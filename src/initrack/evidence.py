@@ -23,9 +23,6 @@ class Role(Enum):
     SPEAKER = "speaker"
     HEARER = "hearer"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class MassFunction(NamedTuple("MassFunction", [("speaker", float), ("hearer", float), ("theta", float)])):
     """Basic probability assignment over {speaker}, {hearer} and the frame.

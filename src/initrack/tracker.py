@@ -56,6 +56,7 @@ class TrackerConfig(NamedTuple("TrackerConfig", [("delta", float), ("method", Ad
         if delta >= 0.5:
             # A single observation would then out-mass the even prior.
             warnings.warn(f"delta={delta} is outside the recommended (0, 0.5) range", stacklevel=2)
+        method = AdjustmentMethod(method)  # a member, or its value
         if not 0.0 <= default_x <= 1.0:
             raise ValueError(f"default_x must lie in [0, 1], got {default_x!r}")
         if not 0.0 < reset_strength < 1.0:

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import io
 import os
@@ -101,6 +102,25 @@ class TestUsage:
     def test_no_args(self):
         assert main([]) == 64
 
+    def test_a_command_builds_one_parser(self, monkeypatch, capsys):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            progs.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["validate", "--corpus", str(initrack.REPLICA_PATH)]) == 0
+        assert progs == ["initrack validate"]
+
+    def test_leading_unknown_option_is_the_top_level_usage_error(self, capsys):
+        # The top-level parser knows no command's flags, so it lists them too.
+        assert main(["--foo", "validate", "--corpus", "x"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: initrack [-h]\n")
+        assert err.endswith("\ninitrack: error: unrecognized arguments: --foo --corpus x\n")
+
     @pytest.mark.parametrize("command", ["eval", "report-errors", "compare"])
     @pytest.mark.parametrize("flag", [["--delta", "0.35"], ["--method", "const"]])
     def test_frozen_commands_take_no_training_flags(self, command, flag, good_corpus, tmp_path, capsys):
@@ -180,6 +200,13 @@ class TestTrainEval:
                 ]
             )
             == 0
+        )
+
+    def test_teacher_forcing_takes_only_a_boolean(self, good_corpus, tmp_path, capsys):
+        argv = ["eval", "--corpus", str(good_corpus), "--model", str(tmp_path / "m.model"), "--teacher-forcing", "maybe"]
+        assert main(argv) == 64
+        assert capsys.readouterr().err.endswith(
+            "initrack eval: error: argument --teacher-forcing: expected a boolean, got 'maybe'\n"
         )
 
     def test_bad_delta_is_validation_error(self, good_corpus, capsys):
@@ -459,6 +486,12 @@ class TestStatistics:
         assert main(["cochran-q", "--outcomes", str(path)]) == 0
         assert capsys.readouterr().out == expected
 
+    def test_cochran_csv_line(self, tmp_path, capsys):
+        path = tmp_path / "outcomes.txt"
+        path.write_text("1 0\n1 0\n1 0\n0 1\n1 1\n0 0\n1 0\n", encoding="utf-8")
+        assert main(["cochran-q", "--outcomes", str(path), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "q,df,p\n1.800000,1,0.179712\n"
+
     def test_cochran_ragged_rows_exit_2(self, tmp_path, capsys):
         path = tmp_path / "outcomes.txt"
         path.write_text("1 1\n1 0 1\n", encoding="utf-8")
@@ -498,7 +531,9 @@ class TestGenSynthetic:
         assert capsys.readouterr().out == format_corpus(gen_synthetic(GeneratorConfig(), 0))
 
     def test_bad_cue_kind(self, capsys):
-        assert main(["gen-synthetic", "--cue-emit", "nope=0.5"]) == 2
+        for entry, message in [("nope=0.5", "unknown cue 'nope'"), ("end_silence", "expected KIND=P, got 'end_silence'")]:
+            assert main(["gen-synthetic", "--cue-emit", entry]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_probability(self, capsys):
         assert main(["gen-synthetic", "--cue-emit", "end_silence=1.5"]) == 2
@@ -530,6 +565,10 @@ def test_package_import_loads_no_submodule():
     assert _fresh("import initrack, sys; print(sorted(m for m in sys.modules if m.startswith('initrack')))") == (
         "['initrack']\n"
     )
+
+
+def test_package_reads_a_submodule_by_name():
+    assert _fresh("import initrack, sys; print(initrack.cues is sys.modules['initrack.cues'])") == "True\n"
 
 
 # Each command loads the library modules its handler runs and no other.  The

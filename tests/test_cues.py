@@ -132,6 +132,11 @@ class TestParamsView:
         assert getattr(params, name) is None
         assert model == init_model()
 
+    def test_a_model_equals_no_other_type(self):
+        model = init_model()
+        assert model.__eq__((model.masses, model.counters)) is NotImplemented
+        assert model != (model.masses, model.counters)
+
     @pytest.mark.parametrize(
         "clone", [copy.deepcopy, lambda model: pickle.loads(pickle.dumps(model))], ids=["deepcopy", "pickle"]
     )

@@ -72,6 +72,9 @@ CHECKS = [
     (RunResult, dict(ti_ok=b""), ValueError, "0 outcome bytes for 1 prediction points"),
     (RunResult, dict(di_ok=b"\x01\x01"), ValueError, "2 outcome bytes for 1 prediction points"),
     (RunResult, dict(dialogues=(D, D)), ValueError, "1 outcome bytes for 2 prediction points"),
+    (TrackerConfig, dict(method="bad"), ValueError, "'bad' is not a valid AdjustmentMethod"),
+    (GeneratorConfig, dict(cue_emit={"end_silence": 0.5}), GeneratorConfigError,
+     "cue_emit key 'end_silence' must be a CueKind member"),
 ]
 CHECK_IDS = [f"{cls.__name__}-{'-'.join(changes)}-{i}" for i, (cls, changes, _, _) in enumerate(CHECKS)]
 
@@ -107,6 +110,13 @@ def test_assignment_raises(cls):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert record == cls(**VALID[cls])
+
+
+@pytest.mark.parametrize("method", list(AdjustmentMethod), ids=str)
+def test_tracker_config_takes_a_method_value(method):
+    # A value is stored as its member, which the tracker tests by identity.
+    assert TrackerConfig(method=method.value).method is method
+    assert TrackerConfig()._replace(method=method.value) == TrackerConfig(method=method)
 
 
 def test_empty_corpus_has_no_distribution():
