@@ -114,8 +114,8 @@ def _command(name: str, summary: str, *flags: _Flag) -> Callable[[_Handler], _Ha
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """The arguments of `argv`.  When `argv[0]` names a command, only that
     command's parser is built, and it parses the rest.  Otherwise the
-    top-level parser, whose subcommands take no flags, prints --help or a
-    usage error, and exits either way."""
+    top-level parser, whose subcommands take no flags, not even -h, prints
+    --help or a usage error, and exits either way."""
     if argv and argv[0] in _COMMANDS:
         name = argv[0]
         _, flags, handler = _COMMANDS[name]
@@ -129,7 +129,7 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     parser = _Parser(prog="initrack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, _, _) in _COMMANDS.items():
-        sub.add_parser(name, help=summary)
+        sub.add_parser(name, help=summary, add_help=False)
     return parser.parse_args(argv)
 
 

@@ -148,11 +148,14 @@ def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
     """Parse a corpus file; all-or-nothing, errors carry file:line positions.
 
     `text` is the file's text, split at LF, or its lines as they come (a
-    file opened in text mode), each parsed as it is read.  Each distinct
-    turn line is parsed once per agent pair, and each distinct cue list once
-    per file.  A repeat reuses that frozen `Turn`, so equal turns of a parsed
-    corpus may be one object; only its alternation with the previous turn is
-    checked again.  Dialogues of one agent pair share one `agents` tuple, and
+    file opened in text mode), each parsed as it is read.  Per agent pair, a
+    repeated turn line reuses the frozen `Turn` its first copy gave, so equal
+    turns of a parsed corpus may be one object.  A new line whose canonical
+    head `turn speaker=S ti=T di=D` and cue field both parsed before is built
+    from those parts.  Only any other line takes the full field parse, and
+    each distinct cue list is parsed once per file.  The first two kinds
+    check only their alternation with the previous turn.  Nothing is kept
+    between calls.  Dialogues of one agent pair share one `agents` tuple, and
     every turn holds those agent strings.
     """
     lines = text.split("\n") if isinstance(text, str) else text
@@ -169,16 +172,27 @@ def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
     current_line = 0
     previous_speaker: str | None = None
     # Per agent pair: its one agents tuple, each agent mapped to the tuple's
-    # string, and the turn lines parsed under it.
-    pairs: dict[tuple[str, str], tuple[tuple[str, str], dict[str, str], dict[str, Turn]]] = {}
+    # string, the turn lines parsed under it, and the canonical heads of those
+    # lines.
+    pairs: dict[tuple[str, str], tuple[tuple[str, str], dict[str, str], dict[str, Turn], dict[str, tuple]]] = {}
     own: dict[str, str] = {}  # each agent of the open dialogue, mapped to its pair tuple's string
     known: dict[str, Turn] = {}  # turn lines parsed under the open dialogue's agents
+    # Each canonical head `turn speaker=S ti=T di=D` parsed under the open
+    # dialogue's agents, mapped to its turn's (speaker, hearer, ti, di): at most 8.
+    heads: dict[str, tuple] = {}
     # Each valid cue field parsed so far: its cue list and that list's 16-entry point table.
     cue_lists: dict[str, tuple[tuple[CueKind, ...], CueTable]] = {"-": ((), point_table(()))}
 
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         turn = known.get(line)
+        if turn is None:
+            # A new line made of a parsed head and a parsed cue field: no field in
+            # either holds whitespace, so it splits into the fields of those lines.
+            head, _, cue_field = line.rpartition(" cues=")
+            holders = heads.get(head)
+            if holders is not None and cue_field in cue_lists:
+                turn = known[line] = Turn._prechecked(*holders, *cue_lists[cue_field])
         if turn is not None:
             if turn.speaker == previous_speaker:
                 raise err(lineno, f"speaker {turn.speaker!r} repeats; turns must alternate")
@@ -225,6 +239,7 @@ def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
             hearer = b if speaker == a else a
             cues, table = cue_list
             turn = known[line] = Turn._prechecked(speaker, hearer, ti_holder, di_holder, cues, table)
+            heads[f"turn speaker={values['speaker']} ti={values['ti']} di={values['di']}"] = turn[:4]
             previous_speaker = speaker
             current_turns.append(turn)
             continue
@@ -248,8 +263,8 @@ def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
                 raise err(lineno, "agents must be two distinct non-empty names")
             pair = (agents[0], agents[1])
             if pair not in pairs:
-                pairs[pair] = (pair, {agent: agent for agent in pair}, {})
-            current_agents, own, known = pairs[pair]
+                pairs[pair] = (pair, {agent: agent for agent in pair}, {}, {})
+            current_agents, own, known, heads = pairs[pair]
             current_id = dialogue_id
             current_turns = []
             current_line = lineno
@@ -269,7 +284,7 @@ def parse_corpus(text: str | Iterable[str], source: str = "<corpus>") -> Corpus:
             current_id = None
             current_agents = None
             current_turns = []
-            known = {}
+            known, heads = {}, {}
             continue
 
         raise err(lineno, f"unknown directive {directive!r}")

@@ -121,6 +121,14 @@ class TestUsage:
         assert err.startswith("usage: initrack [-h]\n")
         assert err.endswith("\ninitrack: error: unrecognized arguments: --foo --corpus x\n")
 
+    def test_help_after_a_leading_unknown_option_is_a_usage_error(self, capsys):
+        # The top-level parser's commands take no flags, not even -h.
+        assert main(["--foo", "train", "-h"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: initrack [-h]\n")
+        assert err.endswith("\ninitrack: error: unrecognized arguments: --foo -h\n")
+
     @pytest.mark.parametrize("command", ["eval", "report-errors", "compare"])
     @pytest.mark.parametrize("flag", [["--delta", "0.35"], ["--method", "const"]])
     def test_frozen_commands_take_no_training_flags(self, command, flag, good_corpus, tmp_path, capsys):

@@ -138,7 +138,8 @@ TURN_B = "turn speaker=b ti=a di=a cues=-\n"
 LONG = HEAD + (TURN_A + TURN_B) * 100  # 202 lines; every later turn line is a repeat
 
 # (text, line, message): every CorpusFormatError parse_corpus raises.  The
-# last group puts the error on a line whose text already parsed earlier.
+# last three groups put the error on a line whose cue field, whole text, or
+# head and cue field already parsed earlier.
 FORMAT_ERRORS = [
     ("", 0, "empty corpus file"),
     ("# comment\n\n", 0, "empty corpus file"),
@@ -194,6 +195,19 @@ FORMAT_ERRORS = [
     (LONG + "turn speaker=a ti=a di=a\n", 203, "missing field 'cues'"),
     (LONG + "turn speaker=a ti=a di=a cues=-,\n", 203, "unknown cue '-'"),
     (LONG + "end\n" + HEAD.split("\n", 1)[1], 204, "duplicate dialogue id 'd1'"),
+    # Errors on new lines whose head and cue field both parsed earlier.
+    (HEAD + "turn speaker=a ti=a di=a cues=end_silence\n" + TURN_B + "end\ndialogue d2 agents=a,b\n"
+     "turn speaker=a ti=a di=a cues=end_silence\n" + TURN_A, 8, "speaker 'a' repeats; turns must alternate"),
+    (HEAD + "turn speaker=a ti=a di=a cues=end_silence\n" + TURN_B + "turn speaker=a ti=a di=a cues=- x\n", 5,
+     "malformed field 'x'"),
+    (HEAD + "turn speaker=a ti=a di=a cues=end_silence\n" + TURN_B + "turn speaker=a ti=a di=a cues=- cues=-\n", 5,
+     "malformed field 'cues=-'"),
+    (HEAD + TURN_A + TURN_B + "turn speaker=a ti=a di=a cues=promptz\n", 5, "unknown cue 'promptz'"),
+    (HEAD + "turn speaker=a ti=a di=a cues=end_silence\n" + TURN_B + "turn speaker=a ti=a di=a cues=end_silence,end_silence\n",
+     5, "duplicate cue 'end_silence'"),
+    (HEAD + "turn speaker=a ti=a di=a cues=end_silence\n" + TURN_B + "end\n" + TURN_A, 6, "turn outside a dialogue"),
+    (HEAD + "turn speaker=a ti=b di=a cues=end_silence\n" + TURN_B + "end\ndialogue d2 agents=a,c\n"
+     "turn speaker=a ti=b di=a cues=-\n", 7, "unknown agent 'b' in field 'ti'"),
 ]
 
 
@@ -254,6 +268,18 @@ class TestFirstSeenLines:
         text = HEAD + TURN_A + "turn speaker=b ti=a di=a cues=-\n" + "turn di=a cues=- ti=a speaker=a\n" + TURN_B + "end\n"
         turns = parse_corpus(text).dialogues[0].turns
         assert turns[2] == turns[0] and turns[3] == turns[1]
+        # Other forms of a new line whose head and cue field both parsed earlier.
+        known = HEAD + "turn speaker=a ti=a di=a cues=end_silence\n" + TURN_B
+        expected = parse_corpus(known + TURN_A + "end\n")
+        for form in ("turn speaker=a\tti=a di=a cues=-", "turn speaker=a ti=a di=a\tcues=-", "turn  speaker=a ti=a di=a cues=-",
+                     "turn speaker=a ti=a di=a  cues=-", "turn speaker=a ti=a cues=- di=a", "turn cues=- di=a ti=a speaker=a"):
+            assert parse_corpus(known + form + "\nend\n") == expected
+
+    def test_parses_share_no_turn(self):
+        text = REPLICA_PATH.read_text(encoding="utf-8")
+        first, second = parse_corpus(text), parse_corpus(text)
+        assert first == second
+        assert {id(t) for d in first.dialogues for t in d.turns}.isdisjoint(id(t) for d in second.dialogues for t in d.turns)
 
     def test_prechecked_turn_is_a_turn(self):
         fields = ("sys", "usr", "usr", "sys", (CueKind.END_SILENCE, CueKind.QUESTION_DOMAIN))
